@@ -1,14 +1,15 @@
 """Topic evolution trees: build a genealogy of time-stamped topics from an
-evolution-strength matrix, classify each topic's evolution states, and render
-the result as SVG, DOT or JSON.
+evolution-strength matrix, derive each topic's evolution states from it, and
+render the result as SVG, DOT or JSON.
 
 Typical use::
 
-    from topictree import EvolutionParams, build_tet, classify_all, parse_profile, parse_tes
+    from topictree import EvolutionParams, build_tet, parse_profile, parse_tes
 
     profile, _ = parse_profile(profile_csv_bytes)
     matrix, _ = parse_tes(tes_csv_bytes, profile)
-    tet = classify_all(build_tet(profile, matrix, EvolutionParams()))
+    tet = build_tet(profile, matrix, EvolutionParams())
+    tet.states  # {index: (EmergingState, EvolvingState)}
 """
 
 from .builder import DimensionMismatchError, build_tet, candidate_parents, prune_candidates
@@ -33,9 +34,10 @@ from .model import (
     TetEdge,
     ThresholdMode,
     TopicRecord,
+    classify_emerging,
+    classify_evolving,
 )
 from .render import RenderOptions, tet_from_json, to_dot, to_json, to_svg
-from .states import classify_all, classify_emerging, classify_evolving
 
 __version__ = "0.1.0"
 
@@ -60,7 +62,6 @@ __all__ = [
     "ValidationReport",
     "build_tet",
     "candidate_parents",
-    "classify_all",
     "classify_emerging",
     "classify_evolving",
     "compute_layout",

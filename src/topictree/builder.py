@@ -14,7 +14,7 @@ confluent in ancestor chains, so this canonical order defines the result.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Mapping, Sequence
 
 from .model import (
     ROOT_INDEX,
@@ -23,6 +23,7 @@ from .model import (
     TesMatrix,
     Tet,
     TetEdge,
+    ancestor_mask,
 )
 
 
@@ -66,44 +67,26 @@ def candidate_parents(
     return out
 
 
-def ancestors(edges_so_far: Iterable[TetEdge], u: int) -> set[int]:
-    """Topics reachable from `u` by walking non-root edges backwards.
-
-    The dummy root is never a member, so two parentless topics are never
-    considered related through it. `u` itself is excluded.
-    """
-    parents: dict[int, list[int]] = {}
-    for edge in edges_so_far:
-        if edge.from_index != ROOT_INDEX:
-            parents.setdefault(edge.to_index, []).append(edge.from_index)
-    out: set[int] = set()
-    stack = list(parents.get(u, ()))
-    while stack:
-        w = stack.pop()
-        if w not in out:
-            out.add(w)
-            stack.extend(parents.get(w, ()))
-    return out
-
-
 def prune_candidates(
     candidates: Sequence[tuple[int, float]],
-    edges_so_far: Iterable[TetEdge],
+    anc: Mapping[int, int],
 ) -> list[tuple[int, float]]:
     """Greedy scan keeping, per evolutionary pathway, the strongest candidate.
 
-    ``candidates`` must already be ordered by the `candidate_parents` key.
-    A candidate is accepted iff it is neither an ancestor nor a descendant of
-    any already-accepted candidate; candidates on unrelated pathways all
-    survive, which is what makes fused topics possible.
+    ``candidates`` must already be ordered by the `candidate_parents` key and
+    ``anc`` must hold each candidate's ancestor mask (see
+    :func:`~topictree.model.ancestor_mask`). A candidate is accepted iff it is
+    neither an ancestor nor a descendant of any already-accepted candidate;
+    candidates on unrelated pathways all survive, which is what makes fused
+    topics possible.
     """
-    edges = list(edges_so_far)
-    anc = {u: ancestors(edges, u) for u, _ in candidates}
     accepted: list[tuple[int, float]] = []
+    kept = kept_ancestors = 0
     for u, tes in candidates:
-        related = any(u in anc[a] or a in anc[u] for a, _ in accepted)
-        if not related:
+        if not (anc[u] & kept or kept_ancestors >> u & 1):
             accepted.append((u, tes))
+            kept |= 1 << u
+            kept_ancestors |= anc[u]
     return accepted
 
 
@@ -114,18 +97,20 @@ def build_tet(
 ) -> Tet:
     """Construct the evolution tree for `profile` under `params`.
 
-    Returns an unclassified tree (``states`` empty); the output is fully
-    deterministic for fixed inputs. Raises :class:`DimensionMismatchError`
-    when the matrix does not match the profile size.
+    The output is fully deterministic for fixed inputs. Raises
+    :class:`DimensionMismatchError` when the matrix does not match the
+    profile size.
     """
     if matrix.n != len(profile):
         raise DimensionMismatchError(
             f"matrix is {matrix.n}x{matrix.n} but the profile has {len(profile)} topics"
         )
     edges: list[TetEdge] = []
+    anc: dict[int, int] = {}
     for topic in profile.topics:
         candidates = candidate_parents(topic.index, matrix, profile, params)
-        retained = prune_candidates(candidates, edges)
+        retained = prune_candidates(candidates, anc)
+        anc[topic.index] = ancestor_mask(anc, (u for u, _ in retained))
         if retained:
             edges.extend(TetEdge(from_index=u, to_index=topic.index, tes=tes) for u, tes in retained)
         else:

@@ -1,4 +1,4 @@
-"""Command-line entry point: ingest -> build -> classify -> layout -> render.
+"""Command-line entry point: ingest -> build -> layout -> render.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 bad arguments.
 Configuration is flags-only; no environment variables are consulted. Output
@@ -18,7 +18,6 @@ from .ingest import CsvValidationError, ValidationReport, parse_profile, parse_t
 from .layout import CanvasSpec, compute_layout
 from .model import EvolutionParams, Tet, ThresholdMode
 from .render import RenderOptions, tet_from_json, to_dot, to_json, to_svg
-from .states import classify_all
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -126,42 +125,40 @@ def _write_text(path: str, text: str) -> None:
         raise
 
 
-def _build_classified_tet(args: argparse.Namespace) -> Tet:
+def _build_from_args(args: argparse.Namespace) -> Tet:
     params = _params_from_args(args)
     profile, profile_report = parse_profile(Path(args.profile).read_bytes())
     _print_report(profile_report)
     matrix, matrix_report = parse_tes(Path(args.tes).read_bytes(), profile, lenient=args.lenient)
     _print_report(matrix_report)
-    return classify_all(build_tet(profile, matrix, params))
+    return build_tet(profile, matrix, params)
 
 
-def cmd_build(args: argparse.Namespace) -> int:
-    tet = _build_classified_tet(args)
-    _write_text(args.out, to_json(tet))
-    return EXIT_OK
-
-
-def cmd_render(args: argparse.Namespace) -> int:
-    tet = tet_from_json(Path(args.tet).read_text(encoding="utf-8"))
-    _write_text(args.out, _render_text(tet, args))
-    return EXIT_OK
-
-
-def _render_text(tet: Tet, args: argparse.Namespace) -> str:
-    if args.format == "dot":
+def _render_text(tet: Tet, fmt: str, args: argparse.Namespace) -> str:
+    if fmt == "dot":
         return to_dot(tet, show_root=args.show_root)
     layout = compute_layout(tet, _canvas_from_args(args))
     return to_svg(tet, layout, RenderOptions(show_root=args.show_root))
 
 
+def cmd_build(args: argparse.Namespace) -> int:
+    _write_text(args.out, to_json(_build_from_args(args)))
+    return EXIT_OK
+
+
+def cmd_render(args: argparse.Namespace) -> int:
+    tet = tet_from_json(Path(args.tet).read_text(encoding="utf-8"))
+    _write_text(args.out, _render_text(tet, args.format, args))
+    return EXIT_OK
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    tet = _build_classified_tet(args)
+    tet = _build_from_args(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_text(str(out_dir / "tet.json"), to_json(tet))
-    layout = compute_layout(tet, _canvas_from_args(args))
-    _write_text(str(out_dir / "tet.svg"), to_svg(tet, layout, RenderOptions(show_root=args.show_root)))
-    _write_text(str(out_dir / "tet.dot"), to_dot(tet, show_root=args.show_root))
+    for fmt in ("svg", "dot"):
+        _write_text(str(out_dir / f"tet.{fmt}"), _render_text(tet, fmt, args))
     return EXIT_OK
 
 

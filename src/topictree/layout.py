@@ -12,7 +12,8 @@ orientation): larger weight means smaller y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 from .model import EmergingState, EvolvingState, Tet
 
@@ -53,6 +54,8 @@ class CanvasSpec:
     glyph_radius: float = 10.0
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
+            raise ValueError("canvas sizes must be finite")
         if self.plot_width <= 0 or self.plot_height <= 0:
             raise ValueError("margins leave no plot area")
 
@@ -126,8 +129,6 @@ class LabelAnchor:
 class TetLayout:
     positions: dict[int, tuple[float, float]]
     label_anchors: dict[int, LabelAnchor]
-    edge_colors: dict[tuple[int, int], str]
-    node_colors: dict[int, tuple[str | None, str | None]]
     x_ticks: list[tuple[int, float]]
     y_ticks: list[tuple[float, float]]
     canvas: CanvasSpec = field(default_factory=CanvasSpec)
@@ -269,9 +270,7 @@ def axis_ticks(
 def compute_layout(
     tet: Tet, canvas: CanvasSpec | None = None, font: FontMetrics | None = None
 ) -> TetLayout:
-    """Assemble the full layout for a classified tree."""
-    if not tet.is_classified:
-        raise ValueError("layout requires a classified tree; run classify_all first")
+    """Assemble the full layout for a tree."""
     canvas = canvas or CanvasSpec()
     positions = compute_positions(tet, canvas)
     labels = {topic.index: topic.display_label for topic in tet.profile.topics}
@@ -279,10 +278,6 @@ def compute_layout(
     return TetLayout(
         positions=positions,
         label_anchors=place_labels(positions, labels, canvas.glyph_radius, font),
-        edge_colors={
-            (e.from_index, e.to_index): tes_color(e.tes) for e in tet.edges if not e.is_root_edge
-        },
-        node_colors={v: state_colors(s) for v, s in tet.states.items()},
         x_ticks=x_ticks,
         y_ticks=y_ticks,
         canvas=canvas,

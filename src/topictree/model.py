@@ -7,7 +7,8 @@ own invariants and raises ``ValueError`` on violation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
 from functools import cached_property
 
 #: Index of the artificial root node. The root carries no year, weight or
@@ -208,6 +209,20 @@ class TetEdge:
         return self.from_index == ROOT_INDEX
 
 
+def ancestor_mask(anc: Mapping[int, int], parents: Iterable[int]) -> int:
+    """Ancestor set of a topic with non-root `parents`, as a bitmask over topic indices.
+
+    ``anc`` must hold the mask of every parent; the result is the OR of
+    ``anc[p] | 1 << p`` over them. The root is never a member, so two
+    parentless topics are never related through it, and a topic is not its
+    own ancestor.
+    """
+    mask = 0
+    for p in parents:
+        mask |= anc[p] | 1 << p
+    return mask
+
+
 @dataclass(frozen=True)
 class Tet:
     """Topic evolution tree: a rooted genealogy of topics.
@@ -215,14 +230,14 @@ class Tet:
     Despite the name this is a rooted DAG, not a strict tree: a fused topic
     has several parents. Every node is reachable from the implicit root,
     either through a root edge (parentless topics) or through its parents.
-    ``states`` is empty until classification and complete afterwards.
+    Both evolution states of every topic are derived from the edges, the
+    years and the params; see :attr:`states`.
     """
 
     profile: TemporalTopicProfile
     edges: tuple[TetEdge, ...]
     params: EvolutionParams
     latest_year: int
-    states: dict[int, tuple[EmergingState, EvolvingState]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         valid = {t.index for t in self.profile.topics}
@@ -237,6 +252,11 @@ class Tet:
                     raise ValueError(
                         f"edge {e.from_index}->{e.to_index} does not advance in time"
                     )
+                if not self.params.admits(e.tes):
+                    raise ValueError(
+                        f"edge {e.from_index}->{e.to_index} carries tes {e.tes}, "
+                        f"which fails the min_tes gate"
+                    )
             if (e.from_index, e.to_index) in seen:
                 raise ValueError(f"duplicate edge {e.from_index}->{e.to_index}")
             seen.add((e.from_index, e.to_index))
@@ -247,29 +267,20 @@ class Tet:
                 raise ValueError(f"topic {v} has both a root edge and parents")
             if not has_root and not parent_count:
                 raise ValueError(f"topic {v} is unreachable from the root")
+        anc = self._ancestor_masks
         for v in valid:
             parents = self.parents_of(v)
-            for i, a in enumerate(parents):
-                anc_a = self.ancestors_of(a)
-                for b in parents[i + 1 :]:
-                    if b in anc_a or a in self.ancestors_of(b):
-                        raise ValueError(
-                            f"parents {a} and {b} of topic {v} lie on the same pathway"
-                        )
+            parent_bits = sum(1 << p for p in parents)
+            for b in parents:
+                if shared := anc[b] & parent_bits:
+                    raise ValueError(
+                        f"parents {shared.bit_length() - 1} and {b} of topic {v} "
+                        f"lie on the same pathway"
+                    )
         if self.latest_year != self.profile.latest_year:
             raise ValueError(
                 f"latest_year {self.latest_year} does not match profile ({self.profile.latest_year})"
             )
-        if self.states:
-            if set(self.states) != valid:
-                raise ValueError("states must cover every topic exactly once")
-            for v, (em, ev) in self.states.items():
-                if not isinstance(em, EmergingState) or not isinstance(ev, EvolvingState):
-                    raise ValueError(f"topic {v} carries malformed states")
-
-    @property
-    def is_classified(self) -> bool:
-        return bool(self.states)
 
     @cached_property
     def _parent_map(self) -> dict[int, tuple[int, ...]]:
@@ -287,6 +298,26 @@ class Tet:
                 children[e.from_index].append(e.to_index)
         return {v: tuple(cs) for v, cs in children.items()}
 
+    @cached_property
+    def _ancestor_masks(self) -> dict[int, int]:
+        # Profile order visits every parent before its children.
+        anc: dict[int, int] = {}
+        for t in self.profile.topics:
+            anc[t.index] = ancestor_mask(anc, self._parent_map[t.index])
+        return anc
+
+    @cached_property
+    def states(self) -> dict[int, tuple[EmergingState, EvolvingState]]:
+        """(emerging, evolving) state of every topic, in profile order.
+
+        Derived by :func:`classify_emerging` and :func:`classify_evolving`
+        from the edges, the years and the params.
+        """
+        return {
+            t.index: (classify_emerging(self, t.index), classify_evolving(self, t.index))
+            for t in self.profile.topics
+        }
+
     def parents_of(self, v: int) -> tuple[int, ...]:
         """Non-root parents of topic `v`, in edge order."""
         return self._parent_map[v]
@@ -294,16 +325,48 @@ class Tet:
     def children_of(self, v: int) -> tuple[int, ...]:
         return self._child_map[v]
 
-    def has_root_edge(self, v: int) -> bool:
-        return any(e.is_root_edge and e.to_index == v for e in self.edges)
-
     def ancestors_of(self, v: int) -> set[int]:
-        """All topics reachable from `v` by walking edges backwards; excludes the root."""
-        out: set[int] = set()
-        stack = list(self._parent_map[v])
-        while stack:
-            u = stack.pop()
-            if u not in out:
-                out.add(u)
-                stack.extend(self._parent_map[u])
-        return out
+        """All topics reachable from `v` by walking edges backwards; excludes the root and `v`."""
+        mask = self._ancestor_masks[v]
+        return {u for u in self._parent_map if mask >> u & 1}
+
+
+# Evolution states. Each topic carries two: the emerging-state says how it
+# came to exist (born / fused / reborn / flourishing), the evolving-state how
+# it acts on later generations (split / dead / flourishing). Classification is
+# a first match in a fixed order, so the assignment is exhaustive and
+# exclusive.
+
+
+def classify_emerging(tet: Tet, v: int) -> EmergingState:
+    """born -> fused -> reborn -> flourishing, first match wins.
+
+    Fused (two or more parents) takes priority over reborn: multiple
+    ancestry is the structurally stronger claim, whatever the gaps. The time
+    gate is strict: a single-parent topic is reborn only when its silence
+    exceeds ``min_reborn`` years.
+    """
+    parents = tet.parents_of(v)
+    if not parents:
+        return EmergingState.BORN
+    if len(parents) >= 2:
+        return EmergingState.FUSED
+    gap = tet.profile.year_of(v) - max(tet.profile.year_of(p) for p in parents)
+    if gap > tet.params.min_reborn:
+        return EmergingState.REBORN
+    return EmergingState.FLOURISHING
+
+
+def classify_evolving(tet: Tet, v: int) -> EvolvingState:
+    """split -> dead -> flourishing, first match wins.
+
+    The time gate is strict: a childless topic is dead only when the latest
+    profile year lies more than ``min_dead`` years after it, so topics in the
+    latest year are never dead.
+    """
+    children = tet.children_of(v)
+    if len(children) >= 2:
+        return EvolvingState.SPLIT
+    if not children and tet.latest_year - tet.profile.year_of(v) > tet.params.min_dead:
+        return EvolvingState.DEAD
+    return EvolvingState.FLOURISHING

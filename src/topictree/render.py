@@ -1,4 +1,4 @@
-"""Serialization of a classified tree: SVG picture, DOT graph, JSON document.
+"""Serialization of a tree: SVG picture, DOT graph, JSON document.
 
 All three emitters are pure and byte-deterministic: element ids are stable
 (``node-<index>``, ``edge-<from>-<to>``), floats are written in a fixed
@@ -15,12 +15,10 @@ from dataclasses import dataclass
 from xml.sax.saxutils import escape, quoteattr
 
 from .ingest import format_number
-from .layout import CanvasSpec, TetLayout, compute_layout, tes_color
+from .layout import CanvasSpec, TetLayout, compute_layout, state_colors, tes_color
 from .model import (
     ROOT_INDEX,
-    EmergingState,
     EvolutionParams,
-    EvolvingState,
     TemporalTopicProfile,
     Tet,
     TetEdge,
@@ -69,11 +67,6 @@ def _fmt(x: float) -> str:
     """Canvas coordinate: two decimals, trailing zeros stripped."""
     s = f"{x:.2f}".rstrip("0").rstrip(".")
     return "0" if s in ("", "-0") else s
-
-
-def _require_classified(tet: Tet) -> None:
-    if not tet.is_classified:
-        raise ValueError("rendering requires a classified tree; run classify_all first")
 
 
 # --------------------------------------------------------------------------
@@ -189,7 +182,6 @@ def to_svg(tet: Tet, layout: TetLayout | None = None, options: RenderOptions | N
     its TES bin, axes with year/weight ticks, and the two legends. The root
     and its edges are hidden unless ``options.show_root`` is set.
     """
-    _require_classified(tet)
     if layout is None:
         layout = compute_layout(tet)
     options = options or RenderOptions()
@@ -229,7 +221,7 @@ def to_svg(tet: Tet, layout: TetLayout | None = None, options: RenderOptions | N
                 _svg_edge_path(eid, root_pos, layout.positions[e.to_index], r, _ROOT_STROKE, "arrow-root", True)
             )
         else:
-            token = layout.edge_colors[(e.from_index, e.to_index)]
+            token = tes_color(e.tes)
             eid = f"edge-{e.from_index}-{e.to_index}"
             lines.append(
                 _svg_edge_path(
@@ -254,9 +246,7 @@ def to_svg(tet: Tet, layout: TetLayout | None = None, options: RenderOptions | N
         lines.append("</g>")
     for topic in tet.profile.topics:
         x, y = layout.positions[topic.index]
-        emerging_fill, evolving_fill = (
-            STATE_FILL[c] for c in layout.node_colors[topic.index]
-        )
+        emerging_fill, evolving_fill = (STATE_FILL[c] for c in state_colors(tet.states[topic.index]))
         lines.append(f'<g id="node-{topic.index}" class="node">')
         lines.append(_svg_half_circle(x, y, r, True, emerging_fill))
         lines.append(_svg_half_circle(x, y, r, False, evolving_fill))
@@ -298,7 +288,6 @@ def to_dot(tet: Tet, show_root: bool = False) -> str:
     is omitted unless requested, so the default output contains exactly the
     topics and their evolutionary relationships.
     """
-    _require_classified(tet)
     lines = ["digraph tet {", "  rankdir=LR;"]
     if show_root:
         lines.append('  "root" [shape=point, label="root"];')
@@ -330,7 +319,6 @@ def to_dot(tet: Tet, show_root: bool = False) -> str:
 
 def to_json(tet: Tet) -> str:
     """Canonical JSON document; fixed key order, lossless round-trip."""
-    _require_classified(tet)
     doc = {
         "params": {
             "min_tes": tet.params.min_tes,
@@ -359,50 +347,71 @@ def to_json(tet: Tet) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _integer(value: object, where: str) -> int:
+    """A JSON integer; booleans, floats and strings are rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 def tet_from_json(text: str) -> Tet:
     """Parse the JSON document back into a tree; inverse of :func:`to_json`.
 
-    Raises ``ValueError`` on malformed input, including structural problems
-    that violate tree invariants.
+    The states are derived from the tree, and a document whose stored
+    states disagree with them is rejected. Raises ``ValueError`` on
+    malformed input, including structural problems that violate tree
+    invariants.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("malformed TET JSON: nested too deeply to parse") from None
     try:
         raw_params = doc["params"]
         params = EvolutionParams(
             min_tes=float(raw_params["min_tes"]),
-            min_reborn=int(raw_params["min_reborn"]),
-            min_dead=int(raw_params["min_dead"]),
+            min_reborn=_integer(raw_params["min_reborn"], "params.min_reborn"),
+            min_dead=_integer(raw_params["min_dead"], "params.min_dead"),
             threshold_mode=ThresholdMode(raw_params["threshold_mode"]),
         )
         topics = []
-        states: dict[int, tuple[EmergingState, EvolvingState]] = {}
-        for node in doc["nodes"]:
+        for i, node in enumerate(doc["nodes"]):
             label = node["label"]
             if label is not None and not isinstance(label, str):
-                raise ValueError(f"label must be a string or null, got {label!r}")
+                raise ValueError(f"nodes[{i}].label must be a string or null, got {label!r}")
+            words = node["words"]
+            if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+                raise ValueError(f"nodes[{i}].words must be a list of strings, got {words!r}")
             topic = TopicRecord(
                 id=str(node["id"]),
-                index=int(node["index"]),
+                index=_integer(node["index"], f"nodes[{i}].index"),
                 weight=float(node["weight"]),
-                year=int(node["year"]),
-                words=tuple(str(w) for w in node["words"]),
+                year=_integer(node["year"], f"nodes[{i}].year"),
+                words=tuple(words),
                 label=label,
             )
             topics.append(topic)
-            states[topic.index] = (
-                EmergingState(node["emerging_state"]),
-                EvolvingState(node["evolving_state"]),
-            )
         edges = tuple(
-            TetEdge(from_index=int(e["from_index"]), to_index=int(e["to_index"]), tes=float(e["tes"]))
-            for e in doc["edges"]
+            TetEdge(
+                from_index=_integer(e["from_index"], f"edges[{k}].from_index"),
+                to_index=_integer(e["to_index"], f"edges[{k}].to_index"),
+                tes=float(e["tes"]),
+            )
+            for k, e in enumerate(doc["edges"])
         )
-        return Tet(
+        tet = Tet(
             profile=TemporalTopicProfile(topics=tuple(topics)),
             edges=edges,
             params=params,
-            latest_year=int(doc["latest_year"]),
-            states=states,
+            latest_year=_integer(doc["latest_year"], "latest_year"),
         )
+        for node, topic in zip(doc["nodes"], topics):
+            stored = (node["emerging_state"], node["evolving_state"])
+            derived = tuple(state.value for state in tet.states[topic.index])
+            if stored != derived:
+                raise ValueError(
+                    f"topic {topic.index} is stored as {stored} but the tree makes it {derived}"
+                )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed TET JSON: {exc!r}") from exc
+    return tet

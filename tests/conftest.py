@@ -7,7 +7,6 @@ import pytest
 from topictree.builder import build_tet
 from topictree.ingest import parse_profile, parse_tes
 from topictree.model import EvolutionParams, ThresholdMode
-from topictree.states import classify_all
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -51,9 +50,9 @@ def inclusive_params() -> EvolutionParams:
 
 @pytest.fixture(scope="session")
 def tet_exclusive(fixture_profile, fixture_matrix, exclusive_params):
-    return classify_all(build_tet(fixture_profile, fixture_matrix, exclusive_params))
+    return build_tet(fixture_profile, fixture_matrix, exclusive_params)
 
 
 @pytest.fixture(scope="session")
 def tet_inclusive(fixture_profile, fixture_matrix, inclusive_params):
-    return classify_all(build_tet(fixture_profile, fixture_matrix, inclusive_params))
+    return build_tet(fixture_profile, fixture_matrix, inclusive_params)

@@ -96,6 +96,11 @@ def independent_ancestors(edge_pairs: set[tuple[int, int]], u: int) -> set[int]:
     return anc
 
 
+def ancestor_masks(ancestor_sets: dict[int, set[int]]) -> dict[int, int]:
+    """The same ancestor sets as bitmasks over topic indices, as `prune_candidates` takes them."""
+    return {u: sum(1 << a for a in anc) for u, anc in ancestor_sets.items()}
+
+
 def oracle_retained(
     candidates: list[tuple[int, float]],
     ancestor_sets: dict[int, set[int]],

@@ -15,6 +15,7 @@ import pytest
 
 from dot_checker import check_dot
 from helpers import (
+    ancestor_masks,
     independent_ancestors,
     independent_candidates,
     oracle_retained,
@@ -35,7 +36,6 @@ from topictree.model import (
     TopicRecord,
 )
 from topictree.render import tet_from_json, to_dot, to_json, to_svg
-from topictree.states import classify_all
 
 A, B, C, D, E, F, G, H, I, J, K = range(11)
 
@@ -96,7 +96,7 @@ def test_criterion_3_pruning_oracle():
             anc = {u: independent_ancestors(pairs, u) for u, _ in cands}
             keys = {u: (tes, profile.year_of(u), -u) for u, tes in cands}
             expected = oracle_retained(cands, anc, keys)
-            greedy = [u for u, _ in prune_candidates(cands, edges)]
+            greedy = [u for u, _ in prune_candidates(cands, ancestor_masks(anc))]
             assert greedy == expected, (
                 f"greedy {greedy} != oracle {expected} for topic {topic.index}"
             )
@@ -132,7 +132,7 @@ def test_criterion_5_classification_properties():
     instances = 1000
     for _ in range(instances):
         profile, matrix, params = random_instance(rng, max_n=12)
-        tet = classify_all(build_tet(profile, matrix, params))
+        tet = build_tet(profile, matrix, params)
         assert set(tet.states) == {t.index for t in profile.topics}
         for v, (emerging, evolving) in tet.states.items():
             assert isinstance(emerging, EmergingState) and isinstance(evolving, EvolvingState)
@@ -148,7 +148,7 @@ def test_criterion_5_classification_properties():
         profile = TemporalTopicProfile(topics=topics)
         matrix = TesMatrix(n=2, entries=((1.0, 0.9), (0.0, 1.0)))
         params = EvolutionParams(min_reborn=min_reborn, min_dead=min_dead)
-        return classify_all(build_tet(profile, matrix, params))
+        return build_tet(profile, matrix, params)
 
     # gap 3 > min_reborn 2: reborn
     assert pair_tet(3, 2, 1).states[1][0] is EmergingState.REBORN
@@ -163,7 +163,7 @@ def test_criterion_5_classification_properties():
         profile = TemporalTopicProfile(topics=topics)
         matrix = TesMatrix(n=2, entries=((1.0, 0.0), (0.0, 1.0)))  # no edge: both childless
         params = EvolutionParams(min_dead=min_dead)
-        return classify_all(build_tet(profile, matrix, params))
+        return build_tet(profile, matrix, params)
 
     # childless with trailing gap 2 > min_dead 1: dead
     assert lone_gap_tet(2, 1).states[0][1] is EvolvingState.DEAD

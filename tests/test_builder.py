@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import (
+    ancestor_masks,
     independent_ancestors,
     independent_candidates,
     oracle_retained,
@@ -11,7 +12,6 @@ from helpers import (
 )
 from topictree.builder import (
     DimensionMismatchError,
-    ancestors,
     build_tet,
     candidate_parents,
     prune_candidates,
@@ -24,6 +24,7 @@ from topictree.model import (
     TetEdge,
     ThresholdMode,
     TopicRecord,
+    ancestor_mask,
 )
 
 A, B, C, D, E, F, G, H, I, J, K = range(11)
@@ -86,6 +87,21 @@ class TestCandidateParents:
         assert cands == [(0, 0.5), (1, 0.5)]
 
 
+def ancestors(edges, u):
+    """Ancestor set of `u`, folding `ancestor_mask` over the edges as `build_tet` does."""
+    parents: dict[int, list[int]] = {}
+    for e in edges:
+        if not e.is_root_edge:
+            parents.setdefault(e.to_index, []).append(e.from_index)
+
+    def mask(v):
+        ps = parents.get(v, ())
+        return ancestor_mask({p: mask(p) for p in ps}, ps)
+
+    m = mask(u)
+    return {w for w in range(m.bit_length()) if m >> w & 1}
+
+
 class TestAncestors:
     def test_direct_parent(self):
         assert ancestors([TetEdge(B, C, 0.3)], C) == {B}
@@ -104,22 +120,22 @@ class TestAncestors:
 class TestPruneCandidates:
     def test_pathway_scenario_keeps_unrelated_keeps_best(self):
         # B(2001) -> C(2002), B -> D(2002); F(2003) sees C and D stronger than B.
-        edges = [TetEdge(0, 1, 0.6), TetEdge(0, 2, 0.6)]
+        anc = {0: 0, 1: 1 << 0, 2: 1 << 0}
         candidates = [(1, 0.9), (2, 0.9), (0, 0.5)]
-        assert prune_candidates(candidates, edges) == [(1, 0.9), (2, 0.9)]
+        assert prune_candidates(candidates, anc) == [(1, 0.9), (2, 0.9)]
 
     def test_single_candidate_unchanged(self):
-        assert prune_candidates([(0, 0.4)], []) == [(0, 0.4)]
+        assert prune_candidates([(0, 0.4)], {0: 0}) == [(0, 0.4)]
 
     def test_chain_keeps_strongest_only(self):
-        edges = [TetEdge(0, 1, 0.9)]
-        assert prune_candidates([(0, 0.9), (1, 0.5)], edges) == [(0, 0.9)]
+        anc = {0: 0, 1: 1 << 0}  # 0 -> 1
+        assert prune_candidates([(0, 0.9), (1, 0.5)], anc) == [(0, 0.9)]
 
     def test_descendant_of_accepted_is_dropped(self):
         # weaker ancestor first is impossible by ordering, but a descendant
         # appearing later must also be dropped
-        edges = [TetEdge(0, 1, 0.9)]
-        assert prune_candidates([(1, 0.9), (0, 0.5)], edges) == [(1, 0.9)]
+        anc = {0: 0, 1: 1 << 0}  # 0 -> 1
+        assert prune_candidates([(1, 0.9), (0, 0.5)], anc) == [(1, 0.9)]
 
 
 class TestBuildTet:
@@ -182,7 +198,7 @@ class TestBuildTet:
                 anc = {u: independent_ancestors(pairs, u) for u, _ in cands}
                 keys = {u: (tes, profile.year_of(u), -u) for u, tes in cands}
                 expected = oracle_retained(cands, anc, keys)
-                got = [u for u, _ in prune_candidates(cands, edges)]
+                got = [u for u, _ in prune_candidates(cands, ancestor_masks(anc))]
                 assert got == expected
                 if expected:
                     edges.extend(

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -83,6 +84,21 @@ class TestBuild:
         assert not out.exists()
 
 
+#: Tree documents that must be rejected: mutation of the fixture document (or
+#: replacement text) and a fragment the error message must contain.
+MALFORMED_TREES = {
+    "deep-nesting": (lambda doc: "[" * 100_000 + "]" * 100_000, "nested too deeply"),
+    "words-string": (lambda doc: doc["nodes"][0].update(words="abc"), "nodes[0].words"),
+    "words-non-string": (lambda doc: doc["nodes"][0].update(words=["a", 3]), "nodes[0].words"),
+    "index-bool": (lambda doc: doc["nodes"][1].update(index=True), "nodes[1].index"),
+    "year-float": (lambda doc: doc["nodes"][0].update(year=2001.9), "nodes[0].year"),
+    "latest-year-float": (lambda doc: doc.update(latest_year=2005.5), "latest_year"),
+    "min-reborn-bool": (lambda doc: doc["params"].update(min_reborn=True), "params.min_reborn"),
+    "min-dead-float": (lambda doc: doc["params"].update(min_dead=1.5), "params.min_dead"),
+    "parentless-stored-fused": (lambda doc: doc["nodes"][0].update(emerging_state="fused"), "topic 0"),
+}
+
+
 @pytest.fixture
 def tet_json_path(fixture_paths, tmp_path):
     profile, tes = fixture_paths
@@ -131,7 +147,19 @@ class TestRender:
         assert 'width="1400"' in svg and 'height="900"' in svg
 
     def test_too_small_canvas_is_usage_error(self, tet_json_path, capsys):
-        assert main(["render", "--tet", str(tet_json_path), "--width", "100"]) == 3
+        for width in ("100", "nan", "inf"):
+            assert main(["render", "--tet", str(tet_json_path), "--width", width]) == 3
+            assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("mutate,fragment", MALFORMED_TREES.values(), ids=MALFORMED_TREES)
+    def test_malformed_tree_is_validation_error(self, tet_json_path, tmp_path, capsys, mutate, fragment):
+        doc = json.loads(tet_json_path.read_text())
+        replacement = mutate(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc) if replacement is None else replacement)
+        assert main(["render", "--tet", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and fragment in err
 
 
 class TestRun:
@@ -178,8 +206,10 @@ class TestHelp:
         assert main([]) == 3
 
     def test_console_script_installed(self):
+        # the child imports topictree from wherever this process does, installed or not
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         proc = subprocess.run(
-            [sys.executable, "-m", "topictree.cli", "--help"], capture_output=True, text=True
+            [sys.executable, "-m", "topictree.cli", "--help"], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0
         assert "usage" in proc.stdout

@@ -1,4 +1,5 @@
 import random
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -23,11 +24,12 @@ from topictree.model import (
     TesMatrix,
     TopicRecord,
 )
-from topictree.states import classify_all
+from topictree.render import TES_FILL, to_svg
 
 A, B, C, D, E, F, G, H, I, J, K = range(11)
 
 DEFAULT = CanvasSpec()
+SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def flat_tet(records):
@@ -36,8 +38,7 @@ def flat_tet(records):
     entries = tuple(
         tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n)
     )
-    tet = build_tet(profile, TesMatrix(n=n, entries=entries), EvolutionParams())
-    return classify_all(tet)
+    return build_tet(profile, TesMatrix(n=n, entries=entries), EvolutionParams())
 
 
 def rec(index, year, weight, **kw):
@@ -84,7 +85,7 @@ class TestPositions:
         rng = random.Random(11)
         for _ in range(50):
             profile, matrix, params = random_instance(rng)
-            tet = classify_all(build_tet(profile, matrix, params))
+            tet = build_tet(profile, matrix, params)
             positions = compute_positions(tet)
             for t1 in profile.topics:
                 for t2 in profile.topics:
@@ -195,23 +196,19 @@ class TestAxisTicks:
 
 
 class TestComputeLayout:
-    def test_requires_classified(self, fixture_profile, fixture_matrix, exclusive_params):
-        bare = build_tet(fixture_profile, fixture_matrix, exclusive_params)
-        with pytest.raises(ValueError, match="classified"):
-            compute_layout(bare)
-
     def test_deterministic(self, tet_exclusive):
         assert compute_layout(tet_exclusive) == compute_layout(tet_exclusive)
 
     def test_edge_colors_match_tes_bins(self, tet_exclusive, fixture_matrix, fixture_profile):
-        layout = compute_layout(tet_exclusive)
-        for e in tet_exclusive.edges:
-            if e.is_root_edge:
-                continue
+        root = ET.fromstring(to_svg(tet_exclusive))
+        strokes = {p.get("id"): p.get("stroke") for p in root.iter(f"{SVG_NS}path") if p.get("class") == "edge"}
+        non_root = [e for e in tet_exclusive.edges if not e.is_root_edge]
+        assert len(strokes) == len(non_root)
+        for e in non_root:
             entry = fixture_matrix.value(
                 fixture_profile.position_of(e.from_index), fixture_profile.position_of(e.to_index)
             )
-            assert layout.edge_colors[(e.from_index, e.to_index)] == tes_color(entry)
+            assert strokes[f"edge-{e.from_index}-{e.to_index}"] == TES_FILL[tes_color(entry)]
 
     def test_margins_must_leave_plot_area(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,7 @@ import pytest
 
 from topictree.model import (
     ROOT_INDEX,
-    EmergingState,
     EvolutionParams,
-    EvolvingState,
     TemporalTopicProfile,
     TesMatrix,
     Tet,
@@ -134,15 +132,9 @@ class TestTetEdge:
             TetEdge(from_index=0, to_index=1, tes=1.2)
 
 
-def make_tet(profile, edge_triples, states=None):
+def make_tet(profile, edge_triples):
     edges = tuple(TetEdge(from_index=a, to_index=b, tes=t) for a, b, t in edge_triples)
-    return Tet(
-        profile=profile,
-        edges=edges,
-        params=EvolutionParams(),
-        latest_year=profile.latest_year,
-        states=states or {},
-    )
+    return Tet(profile=profile, edges=edges, params=EvolutionParams(), latest_year=profile.latest_year)
 
 
 class TestTet:
@@ -151,7 +143,7 @@ class TestTet:
         tet = make_tet(p, [(ROOT_INDEX, 0, 1.0), (0, 1, 0.5)])
         assert tet.parents_of(1) == (0,)
         assert tet.children_of(0) == (1,)
-        assert tet.has_root_edge(0) and not tet.has_root_edge(1)
+        assert not tet.parents_of(0) and tet.parents_of(1)
 
     def test_edge_must_advance_in_time(self):
         p = profile_of(2001, 2001)
@@ -196,17 +188,15 @@ class TestTet:
                 latest_year=2003,
             )
 
-    def test_states_must_cover_all_topics(self):
-        p = profile_of(2001, 2002)
-        with pytest.raises(ValueError, match="states"):
-            make_tet(
-                p,
-                [(ROOT_INDEX, 0, 1.0), (0, 1, 0.5)],
-                states={0: (EmergingState.BORN, EvolvingState.FLOURISHING)},
-            )
-
     def test_ancestors_of_transitive(self):
-        p = profile_of(2001, 2002, 2003)
-        tet = make_tet(p, [(ROOT_INDEX, 0, 1.0), (0, 1, 0.5), (1, 2, 0.5)])
-        assert tet.ancestors_of(2) == {0, 1}
-        assert tet.ancestors_of(0) == set()
+        # chain 0 -> 1 -> 3, and 4 fused from the unrelated 1 and 2
+        p = profile_of(2001, 2002, 2002, 2003, 2003)
+        tet = make_tet(
+            p,
+            [(ROOT_INDEX, 0, 1.0), (0, 1, 0.5), (ROOT_INDEX, 2, 1.0), (1, 3, 0.5), (1, 4, 0.5), (2, 4, 0.5)],
+        )
+        assert tet.ancestors_of(1) == {0}  # direct parent; the topic itself is excluded
+        assert tet.ancestors_of(0) == set()  # the root is excluded, and so are descendants
+        assert tet.ancestors_of(2) == set()
+        assert tet.ancestors_of(3) == {0, 1}  # transitive
+        assert tet.ancestors_of(4) == {0, 1, 2}  # union over several parents

@@ -13,7 +13,6 @@ from topictree.model import (
     TopicRecord,
 )
 from topictree.render import RenderOptions, tet_from_json, to_dot, to_json, to_svg
-from topictree.states import classify_all
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -42,7 +41,7 @@ def tiny_tet(n_topics=3, year=2001):
     )
     profile = TemporalTopicProfile(topics=topics)
     entries = tuple(tuple(1.0 if i == j else 0.0 for j in range(n_topics)) for i in range(n_topics))
-    return classify_all(build_tet(profile, TesMatrix(n=n_topics, entries=entries), EvolutionParams()))
+    return build_tet(profile, TesMatrix(n=n_topics, entries=entries), EvolutionParams())
 
 
 class TestSvg:
@@ -81,17 +80,12 @@ class TestSvg:
     def test_byte_deterministic(self, tet_exclusive):
         assert to_svg(tet_exclusive) == to_svg(tet_exclusive)
 
-    def test_unclassified_rejected(self, fixture_profile, fixture_matrix, exclusive_params):
-        bare = build_tet(fixture_profile, fixture_matrix, exclusive_params)
-        with pytest.raises(ValueError, match="classified"):
-            to_svg(bare)
-
     def test_label_text_escaped(self):
         topics = (
             TopicRecord(id="a<b>&c", index=0, weight=0.5, year=2001, words=("w",)),
         )
         profile = TemporalTopicProfile(topics=topics)
-        tet = classify_all(build_tet(profile, TesMatrix(n=1, entries=((1.0,),)), EvolutionParams()))
+        tet = build_tet(profile, TesMatrix(n=1, entries=((1.0,),)), EvolutionParams())
         root = svg_root(to_svg(tet))  # would raise on ill-formed XML
         assert "a<b>&c" in all_text(root)
 
@@ -123,7 +117,7 @@ class TestDot:
             TopicRecord(id='say "hi"', index=0, weight=0.5, year=2001, words=("w",)),
         )
         profile = TemporalTopicProfile(topics=topics)
-        tet = classify_all(build_tet(profile, TesMatrix(n=1, entries=((1.0,),)), EvolutionParams()))
+        tet = build_tet(profile, TesMatrix(n=1, entries=((1.0,),)), EvolutionParams())
         check_dot(to_dot(tet))
 
     def test_checker_rejects_malformed(self):
@@ -179,11 +173,6 @@ class TestJson:
     def test_byte_deterministic(self, tet_exclusive):
         assert to_json(tet_exclusive) == to_json(tet_exclusive)
 
-    def test_unclassified_rejected(self, fixture_profile, fixture_matrix, exclusive_params):
-        bare = build_tet(fixture_profile, fixture_matrix, exclusive_params)
-        with pytest.raises(ValueError, match="classified"):
-            to_json(bare)
-
     @pytest.mark.parametrize(
         "mutate",
         [
@@ -194,6 +183,7 @@ class TestJson:
             lambda doc: doc["params"].update(threshold_mode="sometimes"),
             lambda doc: doc["nodes"][0].update(emerging_state="zombie"),
             lambda doc: doc.update(latest_year=1900),
+            lambda doc: next(e for e in doc["edges"] if e["from_index"] >= 0).update(tes=0.05),
         ],
     )
     def test_malformed_documents_rejected(self, tet_exclusive, mutate):

@@ -9,8 +9,9 @@ from topictree.model import (
     TemporalTopicProfile,
     TesMatrix,
     TopicRecord,
+    classify_emerging,
+    classify_evolving,
 )
-from topictree.states import classify_all, classify_emerging, classify_evolving
 
 A, B, C, D, E, F, G, H, I, J, K = range(11)
 
@@ -99,18 +100,13 @@ class TestClassifyAll:
         topics = (TopicRecord(id="x", index=0, weight=0.5, year=2001, words=("w",)),)
         profile = TemporalTopicProfile(topics=topics)
         matrix = TesMatrix(n=1, entries=((1.0,),))
-        tet = classify_all(build_tet(profile, matrix, EvolutionParams()))
+        tet = build_tet(profile, matrix, EvolutionParams())
         assert tet.states == {0: (BORN, EV_FLOURISHING)}
 
     def test_long_gap_child(self):
-        tet = classify_all(
-            two_topic_tet(2000, 2005, 0.5, EvolutionParams(min_reborn=2, min_dead=1))
-        )
+        tet = two_topic_tet(2000, 2005, 0.5, EvolutionParams(min_reborn=2, min_dead=1))
         assert tet.states[0] == (BORN, EV_FLOURISHING)  # has a child
         assert tet.states[1] == (REBORN, EV_FLOURISHING)
-
-    def test_idempotent(self, tet_exclusive):
-        assert classify_all(tet_exclusive) == tet_exclusive
 
     def test_states_depend_only_on_structure(self, fixture_profile, fixture_matrix, exclusive_params):
         relabeled = TemporalTopicProfile(
@@ -126,15 +122,15 @@ class TestClassifyAll:
                 for t in fixture_profile.topics
             )
         )
-        tet = classify_all(build_tet(relabeled, fixture_matrix, exclusive_params))
-        reference = classify_all(build_tet(fixture_profile, fixture_matrix, exclusive_params))
+        tet = build_tet(relabeled, fixture_matrix, exclusive_params)
+        reference = build_tet(fixture_profile, fixture_matrix, exclusive_params)
         assert tet.states == reference.states
 
     def test_exhaustive_and_exclusive_on_random_instances(self):
         rng = random.Random(4321)
         for _ in range(300):
             profile, matrix, params = random_instance(rng)
-            tet = classify_all(build_tet(profile, matrix, params))
+            tet = build_tet(profile, matrix, params)
             assert set(tet.states) == {t.index for t in profile.topics}
             for v, (emerging, evolving) in tet.states.items():
                 assert isinstance(emerging, EmergingState)
@@ -144,6 +140,6 @@ class TestClassifyAll:
                     assert tet.children_of(v) == ()
                 if evolving is SPLIT:
                     assert len(tet.children_of(v)) >= 2
-                assert (emerging is BORN) == tet.has_root_edge(v)
+                assert (emerging is BORN) == (not tet.parents_of(v))
                 if tet.profile.year_of(v) == tet.latest_year:
                     assert evolving is not DEAD
