@@ -37,7 +37,7 @@ from .model import (
     classify_emerging,
     classify_evolving,
 )
-from .render import RenderOptions, tet_from_json, to_dot, to_json, to_svg
+from .render import tet_from_json, to_dot, to_json, to_svg
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "EvolutionParams",
     "EvolvingState",
     "FontMetrics",
-    "RenderOptions",
     "TemporalTopicProfile",
     "TesMatrix",
     "Tet",

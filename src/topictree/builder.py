@@ -56,12 +56,9 @@ def candidate_parents(
     v_pos = profile.position_of(v)
     v_year = profile.year_of(v)
     out = []
-    for u_pos in range(v_pos):
+    for u_pos, tes in enumerate(matrix.columns[v_pos]):
         u_topic = profile.topics[u_pos]
-        if u_topic.year >= v_year:
-            continue
-        tes = matrix.value(u_pos, v_pos)
-        if params.admits(tes):
+        if u_topic.year < v_year and params.admits(tes):
             out.append((u_topic.index, tes))
     out.sort(key=lambda item: candidate_key(profile, item[0], item[1]), reverse=True)
     return out

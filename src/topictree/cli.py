@@ -17,7 +17,7 @@ from .builder import build_tet
 from .ingest import CsvValidationError, ValidationReport, parse_profile, parse_tes
 from .layout import CanvasSpec, compute_layout
 from .model import EvolutionParams, Tet, ThresholdMode
-from .render import RenderOptions, tet_from_json, to_dot, to_json, to_svg
+from .render import tet_from_json, to_dot, to_json, to_svg
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -138,7 +138,7 @@ def _render_text(tet: Tet, fmt: str, args: argparse.Namespace) -> str:
     if fmt == "dot":
         return to_dot(tet, show_root=args.show_root)
     layout = compute_layout(tet, _canvas_from_args(args))
-    return to_svg(tet, layout, RenderOptions(show_root=args.show_root))
+    return to_svg(tet, layout, show_root=args.show_root)
 
 
 def cmd_build(args: argparse.Namespace) -> int:

@@ -48,7 +48,7 @@ BAD_CSV = "BadCsv"
 ROWS_RESORTED = "RowsResorted"
 BELOW_DIAGONAL_IGNORED = "BelowDiagonalIgnored"
 
-#: Diagonal entries may deviate from 1 by at most this much before they are
+#: Diagonal cells may deviate from 1 by at most this much before they are
 #: rejected (strict) or coerced (lenient).
 DIAGONAL_TOLERANCE = 1e-9
 
@@ -277,12 +277,7 @@ def parse_profile(data: bytes) -> tuple[TemporalTopicProfile, ValidationReport]:
         )
         report.warning(first, None, ROWS_RESORTED, "rows were re-sorted ascending by (year, index)")
 
-    try:
-        profile = TemporalTopicProfile(topics=tuple(record for _, record in ordered))
-    except ValueError as exc:
-        report.error(None, None, NON_CONTIGUOUS_INDEX, str(exc))
-        raise CsvValidationError(report) from exc
-    return profile, report
+    return TemporalTopicProfile(topics=tuple(record for _, record in ordered)), report
 
 
 def parse_tes(
@@ -290,9 +285,10 @@ def parse_tes(
 ) -> tuple[TesMatrix, ValidationReport]:
     """Parse a TES matrix CSV against the profile's size and year structure.
 
-    Blank cells are permitted only on/below the diagonal; below-diagonal
-    content is ignored and stored as 0. Raises :class:`CsvValidationError`
-    on any violation that lenient mode cannot coerce.
+    Blank cells are permitted only on/below the diagonal; only the cells
+    above the diagonal are stored (see :class:`TesMatrix`). Raises
+    :class:`CsvValidationError` on any violation that lenient mode cannot
+    coerce.
     """
     report = ValidationReport()
     text = _decode(data, report)
@@ -314,9 +310,8 @@ def parse_tes(
         raise CsvValidationError(report)
 
     years = [topic.year for topic in profile.topics]
-    entries: list[list[float]] = []
+    columns: list[list[float]] = [[] for _ in range(n)]
     for i, row in enumerate(rows):
-        parsed_row: list[float] = []
         for j, raw in enumerate(row):
             cell = raw.strip()
             rownum, colnum = i + 1, j + 1
@@ -325,65 +320,48 @@ def parse_tes(
                     report.warning(
                         rownum, colnum, BELOW_DIAGONAL_IGNORED, "value below the diagonal is ignored"
                     )
-                parsed_row.append(0.0)
                 continue
             if j == i:
                 if not cell:
-                    parsed_row.append(1.0)
                     continue
                 value = _parse_decimal(cell)
                 if value is None:
                     report.error(rownum, colnum, BAD_NUMBER, f"not a plain decimal: {cell!r}")
-                    parsed_row.append(1.0)
-                elif abs(value - 1.0) <= DIAGONAL_TOLERANCE:
-                    parsed_row.append(1.0)
-                elif lenient:
-                    report.warning(rownum, colnum, DIAGONAL_NOT_ONE, f"diagonal entry {value} coerced to 1")
-                    parsed_row.append(1.0)
-                else:
-                    report.error(rownum, colnum, DIAGONAL_NOT_ONE, f"diagonal entry must be 1, got {value}")
-                    parsed_row.append(1.0)
+                elif abs(value - 1.0) > DIAGONAL_TOLERANCE:
+                    if lenient:
+                        report.warning(rownum, colnum, DIAGONAL_NOT_ONE, f"diagonal entry {value} coerced to 1")
+                    else:
+                        report.error(rownum, colnum, DIAGONAL_NOT_ONE, f"diagonal entry must be 1, got {value}")
                 continue
             # strictly above the diagonal
             if not cell:
                 report.error(rownum, colnum, BLANK_ABOVE_DIAGONAL, "blank cell above the diagonal")
-                parsed_row.append(0.0)
                 continue
             value = _parse_decimal(cell)
             if value is None:
                 report.error(rownum, colnum, BAD_NUMBER, f"not a plain decimal: {cell!r}")
-                parsed_row.append(0.0)
                 continue
             if not 0.0 <= value <= 1.0:
                 report.error(rownum, colnum, VALUE_OUT_OF_RANGE, f"TES must be in [0, 1], got {value}")
-                parsed_row.append(0.0)
                 continue
             if years[i] == years[j] and value != 0.0:
-                if lenient:
-                    report.warning(
-                        rownum, colnum, CONTEMPORARY_NONZERO, f"contemporary TES {value} coerced to 0"
-                    )
-                    parsed_row.append(0.0)
-                else:
+                if not lenient:
                     report.error(
                         rownum,
                         colnum,
                         CONTEMPORARY_NONZERO,
                         f"TES between contemporary topics (year {years[i]}) must be 0, got {value}",
                     )
-                    parsed_row.append(0.0)
-                continue
-            parsed_row.append(value)
-        entries.append(parsed_row)
+                    continue
+                report.warning(
+                    rownum, colnum, CONTEMPORARY_NONZERO, f"contemporary TES {value} coerced to 0"
+                )
+                value = 0.0
+            columns[j].append(value)
 
     if not report.ok:
         raise CsvValidationError(report)
-    try:
-        matrix = TesMatrix(n=n, entries=tuple(tuple(row) for row in entries))
-    except ValueError as exc:
-        report.error(None, None, VALUE_OUT_OF_RANGE, str(exc))
-        raise CsvValidationError(report) from exc
-    return matrix, report
+    return TesMatrix(columns=tuple(tuple(column) for column in columns)), report
 
 
 def format_number(value: float) -> str:
@@ -407,10 +385,10 @@ def profile_to_csv(profile: TemporalTopicProfile) -> bytes:
 
 
 def tes_to_csv(matrix: TesMatrix) -> bytes:
-    """Serialize a matrix back to CSV: upper triangle and diagonal, blanks below."""
+    """Serialize a matrix back to CSV: blanks below the diagonal, 1 on it, TES above."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
+    columns = matrix.columns
     for i in range(matrix.n):
-        row = ["" if j < i else format_number(matrix.entries[i][j]) for j in range(matrix.n)]
-        writer.writerow(row)
+        writer.writerow([""] * i + ["1"] + [format_number(column[i]) for column in columns[i + 1 :]])
     return out.getvalue().encode("utf-8")

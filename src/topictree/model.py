@@ -128,33 +128,31 @@ class TemporalTopicProfile:
 
 @dataclass(frozen=True)
 class TesMatrix:
-    """N x N evolution-strength values between non-contemporary topics.
+    """Evolution strengths of older topics towards newer ones: the strict upper triangle.
 
-    Only the strict upper triangle carries information. The diagonal is fixed
-    at 1 and entries below the diagonal are stored as 0 and never read.
-    Rows/columns follow the profile's (year, index) order.
+    ``columns[j][i]`` (``i < j``) is the TES of the position-`i` topic
+    towards the position-`j` topic, so column `j` holds exactly `j` values.
+    Positions follow the profile's (year, index) order. Columns are dense:
+    a stored 0 is a strength like any other and passes an inclusive
+    ``min_tes`` of 0.
     """
 
-    n: int
-    entries: tuple[tuple[float, ...], ...]
+    columns: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.n <= 0:
-            raise ValueError(f"matrix dimension must be positive, got {self.n}")
-        if len(self.entries) != self.n or any(len(row) != self.n for row in self.entries):
-            raise ValueError(f"entries must form a {self.n}x{self.n} matrix")
-        for i, row in enumerate(self.entries):
-            for j, value in enumerate(row):
+        if not self.columns:
+            raise ValueError("matrix must hold at least one topic")
+        for j, column in enumerate(self.columns):
+            if len(column) != j:
+                raise ValueError(f"column {j} must hold {j} values, got {len(column)}")
+            for i, value in enumerate(column):
                 if not 0.0 <= value <= 1.0:
                     raise ValueError(f"matrix entry ({i}, {j}) must be in [0, 1], got {value}")
-                if i == j and value != 1.0:
-                    raise ValueError(f"diagonal entry ({i}, {i}) must be 1, got {value}")
-                if i > j and value != 0.0:
-                    raise ValueError(f"entry ({i}, {j}) below the diagonal must be stored as 0")
 
-    def value(self, i: int, j: int) -> float:
-        """TES of the position-`i` topic towards the position-`j` topic."""
-        return self.entries[i][j]
+    @property
+    def n(self) -> int:
+        """Number of topics: the matrix is n x n."""
+        return len(self.columns)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from xml.sax.saxutils import escape, quoteattr
 
 from .ingest import format_number
@@ -54,13 +53,6 @@ TES_BIN_LABELS = {
 _ROOT_STROKE = "#999999"
 _AXIS_STROKE = "#333333"
 _FONT = "font-family=\"sans-serif\""
-
-
-@dataclass(frozen=True)
-class RenderOptions:
-    """Rendering toggles; geometry lives in :class:`CanvasSpec`."""
-
-    show_root: bool = False
 
 
 def _fmt(x: float) -> str:
@@ -175,16 +167,15 @@ def _svg_axes(layout: TetLayout) -> list[str]:
     return out
 
 
-def to_svg(tet: Tet, layout: TetLayout | None = None, options: RenderOptions | None = None) -> str:
+def to_svg(tet: Tet, layout: TetLayout | None = None, show_root: bool = False) -> str:
     """Render the tree as a standalone SVG 1.1 document.
 
     One split-circle group per topic, one arrowed path per edge colored by
     its TES bin, axes with year/weight ticks, and the two legends. The root
-    and its edges are hidden unless ``options.show_root`` is set.
+    and its edges are hidden unless ``show_root`` is set.
     """
     if layout is None:
         layout = compute_layout(tet)
-    options = options or RenderOptions()
     canvas = layout.canvas
     r = canvas.glyph_radius
 
@@ -214,7 +205,7 @@ def to_svg(tet: Tet, layout: TetLayout | None = None, options: RenderOptions | N
     lines.append('<g id="edges">')
     for e in tet.edges:
         if e.is_root_edge:
-            if not options.show_root:
+            if not show_root:
                 continue
             eid = f"edge-{ROOT_INDEX}-{e.to_index}"
             lines.append(
@@ -237,7 +228,7 @@ def to_svg(tet: Tet, layout: TetLayout | None = None, options: RenderOptions | N
     lines.append("</g>")
 
     lines.append('<g id="nodes">')
-    if options.show_root:
+    if show_root:
         rx, ry = root_pos
         lines.append('<g id="node-root" class="node-root">')
         lines.append(
@@ -354,6 +345,16 @@ def _integer(value: object, where: str) -> int:
     return value
 
 
+def _number(value: object, where: str) -> float:
+    """A JSON number as a float; booleans and strings are rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{where} is too large, got {value!r}") from None
+
+
 def tet_from_json(text: str) -> Tet:
     """Parse the JSON document back into a tree; inverse of :func:`to_json`.
 
@@ -369,7 +370,7 @@ def tet_from_json(text: str) -> Tet:
     try:
         raw_params = doc["params"]
         params = EvolutionParams(
-            min_tes=float(raw_params["min_tes"]),
+            min_tes=_number(raw_params["min_tes"], "params.min_tes"),
             min_reborn=_integer(raw_params["min_reborn"], "params.min_reborn"),
             min_dead=_integer(raw_params["min_dead"], "params.min_dead"),
             threshold_mode=ThresholdMode(raw_params["threshold_mode"]),
@@ -379,13 +380,15 @@ def tet_from_json(text: str) -> Tet:
             label = node["label"]
             if label is not None and not isinstance(label, str):
                 raise ValueError(f"nodes[{i}].label must be a string or null, got {label!r}")
+            if not isinstance(node["id"], str):
+                raise ValueError(f"nodes[{i}].id must be a string, got {node['id']!r}")
             words = node["words"]
             if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
                 raise ValueError(f"nodes[{i}].words must be a list of strings, got {words!r}")
             topic = TopicRecord(
-                id=str(node["id"]),
+                id=node["id"],
                 index=_integer(node["index"], f"nodes[{i}].index"),
-                weight=float(node["weight"]),
+                weight=_number(node["weight"], f"nodes[{i}].weight"),
                 year=_integer(node["year"], f"nodes[{i}].year"),
                 words=tuple(words),
                 label=label,
@@ -395,7 +398,7 @@ def tet_from_json(text: str) -> Tet:
             TetEdge(
                 from_index=_integer(e["from_index"], f"edges[{k}].from_index"),
                 to_index=_integer(e["to_index"], f"edges[{k}].to_index"),
-                tes=float(e["tes"]),
+                tes=_number(e["tes"], f"edges[{k}].tes"),
             )
             for k, e in enumerate(doc["edges"])
         )

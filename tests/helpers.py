@@ -44,13 +44,12 @@ def random_instance(
     records.sort(key=lambda t: (t.year, t.index))
     profile = TemporalTopicProfile(topics=tuple(records))
 
-    entries = [[0.0] * n for _ in range(n)]
+    columns: list[list[float]] = [[] for _ in range(n)]
     for i in range(n):
-        entries[i][i] = 1.0
         for j in range(i + 1, n):
-            if records[i].year != records[j].year:
-                entries[i][j] = rng.randint(0, 10) / 10
-    matrix = TesMatrix(n=n, entries=tuple(tuple(row) for row in entries))
+            contemporary = records[i].year == records[j].year
+            columns[j].append(0.0 if contemporary else rng.randint(0, 10) / 10)
+    matrix = TesMatrix(columns=tuple(tuple(column) for column in columns))
 
     params = EvolutionParams(
         min_tes=rng.choice(_MIN_TES_CHOICES),
@@ -70,7 +69,7 @@ def independent_candidates(
     found = []
     for pos, topic in enumerate(profile.topics):
         if topic.year < v_year:
-            tes = matrix.entries[pos][v_pos]
+            tes = matrix.columns[v_pos][pos]
             if params.threshold_mode is ThresholdMode.INCLUSIVE:
                 passes = tes >= params.min_tes
             else:
@@ -165,7 +164,7 @@ def structural_violations(tet, matrix: TesMatrix, params: EvolutionParams) -> li
             parents[e.to_index].append(e.from_index)
             if profile.year_of(e.from_index) >= profile.year_of(e.to_index):
                 problems.append(f"edge {e.from_index}->{e.to_index} does not advance in time")
-            expected = matrix.entries[profile.position_of(e.from_index)][profile.position_of(e.to_index)]
+            expected = matrix.columns[profile.position_of(e.to_index)][profile.position_of(e.from_index)]
             if e.tes != expected:
                 problems.append(f"edge {e.from_index}->{e.to_index} carries tes {e.tes} != matrix {expected}")
 

@@ -7,6 +7,7 @@ sample counts, and the fuzz run requires zero crashes.
 """
 
 import json
+import math
 import random
 import string
 import xml.etree.ElementTree as ET
@@ -24,6 +25,7 @@ from helpers import (
 )
 from topictree import ingest
 from topictree.builder import build_tet, candidate_parents, prune_candidates
+from topictree.cli import main
 from topictree.ingest import CsvValidationError, parse_profile, parse_tes
 from topictree.layout import compute_layout
 from topictree.model import (
@@ -146,7 +148,7 @@ def test_criterion_5_classification_properties():
             TopicRecord(id="new", index=1, weight=0.5, year=2000 + gap, words=("w",)),
         )
         profile = TemporalTopicProfile(topics=topics)
-        matrix = TesMatrix(n=2, entries=((1.0, 0.9), (0.0, 1.0)))
+        matrix = TesMatrix(columns=((), (0.9,)))
         params = EvolutionParams(min_reborn=min_reborn, min_dead=min_dead)
         return build_tet(profile, matrix, params)
 
@@ -161,7 +163,7 @@ def test_criterion_5_classification_properties():
             TopicRecord(id="new", index=1, weight=0.5, year=2000 + gap, words=("w",)),
         )
         profile = TemporalTopicProfile(topics=topics)
-        matrix = TesMatrix(n=2, entries=((1.0, 0.0), (0.0, 1.0)))  # no edge: both childless
+        matrix = TesMatrix(columns=((), (0.0,)))  # no edge: both childless
         params = EvolutionParams(min_dead=min_dead)
         return build_tet(profile, matrix, params)
 
@@ -263,6 +265,53 @@ def test_criterion_6_ingestion(profile_csv, tes_csv, fixture_profile):
                     assert issue.code and issue.message
                     assert issue.row is not None or issue.column is not None
     print(f"ACCEPTANCE 6: PASS - fixtures parse, 12 error codes triggered, {runs}-input fuzz clean")
+
+
+#: Values a tree-document mutation puts in place of a leaf or subtree.
+JSON_POISON = (None, True, False, 2**70, -(2**70), math.nan, math.inf, -math.inf, "", "0.5", "7", [], {})
+
+
+def _json_slots(node, out: list) -> list:
+    """Every (container, key) pair of a JSON document, parents before children."""
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        out.append((node, key))
+        if isinstance(child, (dict, list)):
+            _json_slots(child, out)
+    return out
+
+
+def _mutate_tree(rng: random.Random, doc: dict) -> dict:
+    """Replace or drop one to three leaves or subtrees of `doc`, in place."""
+    for _ in range(rng.randint(1, 3)):
+        container, key = rng.choice(_json_slots(doc, []))
+        if rng.random() < 0.25:
+            del container[key]
+        else:
+            poison = rng.choice(JSON_POISON)
+            container[key] = type(poison)() if isinstance(poison, (list, dict)) else poison
+    return doc
+
+
+def test_criterion_6_tree_json_fuzz(tet_exclusive, tmp_path, capsys):
+    base = to_json(tet_exclusive)
+    path = tmp_path / "tet.json"
+    rng = random.Random(770077)
+    runs = 600
+    rendered = 0
+    for _ in range(runs):
+        path.write_text(json.dumps(_mutate_tree(rng, json.loads(base))))
+        for fmt in ("svg", "dot"):
+            code = main(["render", "--tet", str(path), "--format", fmt])
+            out = capsys.readouterr().out
+            assert code in (0, 1)
+            if code == 0:
+                rendered += 1
+                if fmt == "svg":
+                    ET.fromstring(out)
+                else:
+                    check_dot(out)
+    assert rendered
+    print(f"ACCEPTANCE 6: PASS - {runs}-document tree JSON fuzz clean, {rendered} renders well-formed")
 
 
 def test_criterion_7_output_contracts(tet_exclusive, tet_inclusive):

@@ -48,13 +48,10 @@ def mini_profile(years: list[int]) -> TemporalTopicProfile:
 
 
 def matrix_from(profile: TemporalTopicProfile, tes: dict[tuple[int, int], float]) -> TesMatrix:
-    n = len(profile)
-    entries = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        entries[i][i] = 1.0
+    columns = [[0.0] * j for j in range(len(profile))]
     for (u, v), value in tes.items():
-        entries[profile.position_of(u)][profile.position_of(v)] = value
-    return TesMatrix(n=n, entries=tuple(tuple(row) for row in entries))
+        columns[profile.position_of(v)][profile.position_of(u)] = value
+    return TesMatrix(columns=tuple(tuple(column) for column in columns))
 
 
 class TestCandidateParents:
@@ -79,6 +76,19 @@ class TestCandidateParents:
         profile = mini_profile([2001, 2001])
         matrix = matrix_from(profile, {})
         assert candidate_parents(1, matrix, profile, inclusive_params) == []
+
+    def test_zero_tes_passes_inclusive_zero_gate(self):
+        # a stored 0 is a strength like any other: min_tes 0 (inclusive) admits it
+        profile = mini_profile([2001, 2001, 2002])
+        matrix = matrix_from(profile, {})
+        params = EvolutionParams(min_tes=0.0, threshold_mode=ThresholdMode.INCLUSIVE)
+        assert candidate_parents(1, matrix, profile, params) == []
+        assert candidate_parents(2, matrix, profile, params) == [(0, 0.0), (1, 0.0)]
+        tet = build_tet(profile, matrix, params)
+        assert tet.parents_of(2) == (0, 1)
+        assert {e.tes for e in tet.edges if not e.is_root_edge} == {0.0}
+        exclusive = EvolutionParams(min_tes=0.0, threshold_mode=ThresholdMode.EXCLUSIVE)
+        assert candidate_parents(2, matrix, profile, exclusive) == []
 
     def test_equal_key_tie_breaks_by_lower_index(self):
         profile = mini_profile([2001, 2001, 2002])
@@ -170,7 +180,7 @@ class TestBuildTet:
         assert tet.edges == (TetEdge(ROOT_INDEX, 0, 1.0),)
 
     def test_dimension_mismatch(self, fixture_profile):
-        matrix = TesMatrix(n=2, entries=((1.0, 0.5), (0.0, 1.0)))
+        matrix = TesMatrix(columns=((), (0.5,)))
         with pytest.raises(DimensionMismatchError):
             build_tet(fixture_profile, matrix, EvolutionParams())
 

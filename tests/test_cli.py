@@ -96,6 +96,13 @@ MALFORMED_TREES = {
     "min-reborn-bool": (lambda doc: doc["params"].update(min_reborn=True), "params.min_reborn"),
     "min-dead-float": (lambda doc: doc["params"].update(min_dead=1.5), "params.min_dead"),
     "parentless-stored-fused": (lambda doc: doc["nodes"][0].update(emerging_state="fused"), "topic 0"),
+    "weight-bool": (lambda doc: doc["nodes"][0].update(weight=True), "nodes[0].weight"),
+    "weight-string": (lambda doc: doc["nodes"][0].update(weight="0.5"), "nodes[0].weight"),
+    "weight-huge-int": (lambda doc: doc["nodes"][0].update(weight=10**400), "nodes[0].weight"),
+    "id-int": (lambda doc: doc["nodes"][0].update(id=7), "nodes[0].id"),
+    "tes-string": (lambda doc: doc["edges"][2].update(tes="0.9"), "edges[2].tes"),
+    "root-tes-bool": (lambda doc: doc["edges"][0].update(tes=True), "edges[0].tes"),
+    "min-tes-string": (lambda doc: doc["params"].update(min_tes="0.2"), "params.min_tes"),
 }
 
 
@@ -213,3 +220,13 @@ class TestHelp:
         )
         assert proc.returncode == 0
         assert "usage" in proc.stdout
+
+    def test_imports_only_the_standard_library(self):
+        # -S keeps site's .pth hooks from preloading third-party modules
+        code = "import sys, topictree.cli; print(*sorted({m.partition('.')[0] for m in sys.modules}))"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "topictree" in loaded
+        assert loaded - set(sys.stdlib_module_names) - {"__main__", "topictree"} == set()

@@ -160,10 +160,10 @@ class TestParseTes:
         matrix, report = parse_tes(tes_csv, fixture_profile)
         assert matrix.n == 11
         a, b, d, e, f = 0, 1, 3, 4, 5
-        assert matrix.value(a, f) == 0.9
-        assert matrix.value(b, d) == 0.5
-        assert matrix.value(e, f) == 0.2
-        assert all(matrix.value(i, i) == 1.0 for i in range(11))
+        assert matrix.columns[f][a] == 0.9
+        assert matrix.columns[d][b] == 0.5
+        assert matrix.columns[f][e] == 0.2
+        assert [len(column) for column in matrix.columns] == list(range(11))
         assert not report.errors and not report.warnings
 
     def test_dimension_mismatch_row_count(self, tes_csv, fixture_profile):
@@ -194,10 +194,11 @@ class TestParseTes:
         assert issue.code == ingest.CONTEMPORARY_NONZERO
         assert (issue.row, issue.column) == (1, 2)
 
-    def test_contemporary_nonzero_lenient_coerces(self, fixture_profile, tes_csv):
+    def test_contemporary_nonzero_lenient_coerces(self, fixture_profile, fixture_matrix, tes_csv):
         corrupted = tes_csv.replace(b"1,0,", b"1,0.3,", 1)
         matrix, report = parse_tes(corrupted, fixture_profile, lenient=True)
-        assert matrix.value(0, 1) == 0.0
+        assert matrix.columns[1][0] == 0.0
+        assert matrix == fixture_matrix
         assert [w.code for w in report.warnings] == [ingest.CONTEMPORARY_NONZERO]
 
     def test_diagonal_not_one_strict(self, fixture_profile, tes_csv):
@@ -206,19 +207,19 @@ class TestParseTes:
             parse_tes(corrupted, fixture_profile)
         assert error_codes(exc.value) == {ingest.DIAGONAL_NOT_ONE}
 
-    def test_diagonal_not_one_lenient_coerces(self, fixture_profile, tes_csv):
+    def test_diagonal_not_one_lenient_coerces(self, fixture_profile, fixture_matrix, tes_csv):
         corrupted = tes_csv.replace(b",,1,0,0,", b",,0.9,0,0,", 1)
         matrix, report = parse_tes(corrupted, fixture_profile, lenient=True)
-        assert matrix.value(2, 2) == 1.0
+        assert matrix == fixture_matrix
         assert [w.code for w in report.warnings] == [ingest.DIAGONAL_NOT_ONE]
 
-    def test_diagonal_tolerance(self, fixture_profile, tes_csv):
+    def test_diagonal_tolerance(self, fixture_profile, fixture_matrix, tes_csv):
         beyond = tes_csv.replace(b"1,0,", b"1.00000001,0,", 1)  # off by 1e-8
         with pytest.raises(CsvValidationError):
             parse_tes(beyond, fixture_profile)
         within = tes_csv.replace(b"1,0,", b"1.0000000001,0,", 1)  # off by 1e-10
         matrix, _ = parse_tes(within, fixture_profile)
-        assert matrix.value(0, 0) == 1.0
+        assert matrix == fixture_matrix
 
     def test_blank_above_diagonal(self, fixture_profile, tes_csv):
         corrupted = tes_csv.replace(b"1,0,0.1,", b"1,,0.1,", 1)
@@ -239,13 +240,13 @@ class TestParseTes:
             parse_tes(corrupted, fixture_profile)
         assert error_codes(exc.value) == {ingest.BAD_NUMBER}
 
-    def test_values_below_diagonal_ignored_with_warning(self, fixture_profile, tes_csv):
+    def test_values_below_diagonal_ignored_with_warning(self, fixture_profile, fixture_matrix, tes_csv):
         rows = tes_csv.decode().splitlines()
         cells = rows[1].split(",")
         cells[0] = "0.4"
         rows[1] = ",".join(cells)
         matrix, report = parse_tes("\n".join(rows).encode(), fixture_profile)
-        assert matrix.value(1, 0) == 0.0
+        assert matrix == fixture_matrix
         assert [w.code for w in report.warnings] == [ingest.BELOW_DIAGONAL_IGNORED]
 
     def test_round_trip(self, fixture_matrix, fixture_profile):
@@ -253,7 +254,7 @@ class TestParseTes:
         assert again == fixture_matrix
         assert not report.warnings
 
-    def test_blank_diagonal_defaults_to_one(self, fixture_profile, tes_csv):
+    def test_blank_diagonal_defaults_to_one(self, fixture_profile, fixture_matrix, tes_csv):
         softened = tes_csv.replace(b"1,0,", b",0,", 1)
         matrix, _ = parse_tes(softened, fixture_profile)
-        assert matrix.value(0, 0) == 1.0
+        assert matrix == fixture_matrix

@@ -34,11 +34,8 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 
 def flat_tet(records):
     profile = TemporalTopicProfile(topics=tuple(records))
-    n = len(profile)
-    entries = tuple(
-        tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n)
-    )
-    return build_tet(profile, TesMatrix(n=n, entries=entries), EvolutionParams())
+    columns = tuple((0.0,) * j for j in range(len(profile)))
+    return build_tet(profile, TesMatrix(columns=columns), EvolutionParams())
 
 
 def rec(index, year, weight, **kw):
@@ -205,9 +202,9 @@ class TestComputeLayout:
         non_root = [e for e in tet_exclusive.edges if not e.is_root_edge]
         assert len(strokes) == len(non_root)
         for e in non_root:
-            entry = fixture_matrix.value(
-                fixture_profile.position_of(e.from_index), fixture_profile.position_of(e.to_index)
-            )
+            entry = fixture_matrix.columns[fixture_profile.position_of(e.to_index)][
+                fixture_profile.position_of(e.from_index)
+            ]
             assert strokes[f"edge-{e.from_index}-{e.to_index}"] == TES_FILL[tes_color(entry)]
 
     def test_margins_must_leave_plot_area(self):

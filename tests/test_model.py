@@ -83,24 +83,21 @@ class TestTemporalTopicProfile:
 
 class TestTesMatrix:
     def test_shape_enforced(self):
-        with pytest.raises(ValueError, match="2x2"):
-            TesMatrix(n=2, entries=((1.0, 0.5),))
-
-    def test_diagonal_must_be_one(self):
-        with pytest.raises(ValueError, match="diagonal"):
-            TesMatrix(n=2, entries=((0.9, 0.5), (0.0, 1.0)))
-
-    def test_below_diagonal_must_be_zero(self):
-        with pytest.raises(ValueError, match="below the diagonal"):
-            TesMatrix(n=2, entries=((1.0, 0.5), (0.2, 1.0)))
+        with pytest.raises(ValueError, match="at least one"):
+            TesMatrix(columns=())
+        for columns in (((), ()), ((0.5,),), ((), (0.5, 0.5))):
+            with pytest.raises(ValueError, match="must hold"):
+                TesMatrix(columns=columns)
 
     def test_range_enforced(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            TesMatrix(n=2, entries=((1.0, 1.5), (0.0, 1.0)))
+            TesMatrix(columns=((), (1.5,)))
 
-    def test_value_accessor(self):
-        m = TesMatrix(n=2, entries=((1.0, 0.7), (0.0, 1.0)))
-        assert m.value(0, 1) == 0.7
+    def test_columns_accessor(self):
+        m = TesMatrix(columns=((), (0.7,), (0.0, 0.4)))
+        assert m.n == 3
+        assert m.columns[1][0] == 0.7
+        assert m.columns[2] == (0.0, 0.4)
 
 
 class TestEvolutionParams:

@@ -12,7 +12,7 @@ from topictree.model import (
     TesMatrix,
     TopicRecord,
 )
-from topictree.render import RenderOptions, tet_from_json, to_dot, to_json, to_svg
+from topictree.render import tet_from_json, to_dot, to_json, to_svg
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -40,8 +40,8 @@ def tiny_tet(n_topics=3, year=2001):
         for i in range(n_topics)
     )
     profile = TemporalTopicProfile(topics=topics)
-    entries = tuple(tuple(1.0 if i == j else 0.0 for j in range(n_topics)) for i in range(n_topics))
-    return build_tet(profile, TesMatrix(n=n_topics, entries=entries), EvolutionParams())
+    columns = tuple((0.0,) * j for j in range(n_topics))
+    return build_tet(profile, TesMatrix(columns=columns), EvolutionParams())
 
 
 class TestSvg:
@@ -72,7 +72,7 @@ class TestSvg:
         assert edge_paths(root) == []
 
     def test_show_root_adds_root_glyph_and_edges(self, tet_exclusive):
-        shown = svg_root(to_svg(tet_exclusive, options=RenderOptions(show_root=True)))
+        shown = svg_root(to_svg(tet_exclusive, show_root=True))
         assert len(edge_paths(shown)) == 9 + 3  # three born topics
         root_groups = [g for g in shown.iter(f"{SVG_NS}g") if g.get("id") == "node-root"]
         assert len(root_groups) == 1
@@ -85,7 +85,7 @@ class TestSvg:
             TopicRecord(id="a<b>&c", index=0, weight=0.5, year=2001, words=("w",)),
         )
         profile = TemporalTopicProfile(topics=topics)
-        tet = build_tet(profile, TesMatrix(n=1, entries=((1.0,),)), EvolutionParams())
+        tet = build_tet(profile, TesMatrix(columns=((),)), EvolutionParams())
         root = svg_root(to_svg(tet))  # would raise on ill-formed XML
         assert "a<b>&c" in all_text(root)
 
@@ -117,7 +117,7 @@ class TestDot:
             TopicRecord(id='say "hi"', index=0, weight=0.5, year=2001, words=("w",)),
         )
         profile = TemporalTopicProfile(topics=topics)
-        tet = build_tet(profile, TesMatrix(n=1, entries=((1.0,),)), EvolutionParams())
+        tet = build_tet(profile, TesMatrix(columns=((),)), EvolutionParams())
         check_dot(to_dot(tet))
 
     def test_checker_rejects_malformed(self):
@@ -169,6 +169,12 @@ class TestJson:
         doc = tet_from_json(to_json(tet_exclusive))
         assert doc.profile.topic(0).weight == 0.75
         assert doc.profile.topic(5).weight == 0.8
+        # plain JSON integers are numbers too, and read back as floats
+        raw = json.loads(to_json(tet_exclusive))
+        raw["nodes"][0]["weight"] = 1
+        raw["edges"][0]["tes"] = 1  # a root edge
+        topic = tet_from_json(json.dumps(raw)).profile.topic(0)
+        assert topic.weight == 1.0 and type(topic.weight) is float
 
     def test_byte_deterministic(self, tet_exclusive):
         assert to_json(tet_exclusive) == to_json(tet_exclusive)

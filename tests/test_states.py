@@ -30,7 +30,7 @@ def two_topic_tet(year_a, year_b, tes, params):
         TopicRecord(id="y", index=1, weight=0.5, year=year_b, words=("w",)),
     )
     profile = TemporalTopicProfile(topics=topics)
-    matrix = TesMatrix(n=2, entries=((1.0, tes), (0.0, 1.0)))
+    matrix = TesMatrix(columns=((), (tes,)))
     return build_tet(profile, matrix, params)
 
 
@@ -53,9 +53,7 @@ class TestEmerging:
             TopicRecord(id="c", index=2, weight=0.5, year=2009, words=("w",)),
         )
         profile = TemporalTopicProfile(topics=topics)
-        matrix = TesMatrix(
-            n=3, entries=((1.0, 0.0, 0.9), (0.0, 1.0, 0.9), (0.0, 0.0, 1.0))
-        )
+        matrix = TesMatrix(columns=((), (0.0,), (0.9, 0.9)))
         tet = build_tet(profile, matrix, EvolutionParams(min_reborn=2))
         assert classify_emerging(tet, 2) is FUSED
 
@@ -99,7 +97,7 @@ class TestClassifyAll:
     def test_single_topic(self):
         topics = (TopicRecord(id="x", index=0, weight=0.5, year=2001, words=("w",)),)
         profile = TemporalTopicProfile(topics=topics)
-        matrix = TesMatrix(n=1, entries=((1.0,),))
+        matrix = TesMatrix(columns=((),))
         tet = build_tet(profile, matrix, EvolutionParams())
         assert tet.states == {0: (BORN, EV_FLOURISHING)}
 
