@@ -22,7 +22,7 @@ from .ingest import (
     profile_to_csv,
     tes_to_csv,
 )
-from .layout import CanvasSpec, FontMetrics, TetLayout, compute_layout, state_colors, tes_color
+from .layout import CanvasSpec, TetLayout, compute_layout
 from .model import (
     ROOT_INDEX,
     EmergingState,
@@ -49,7 +49,6 @@ __all__ = [
     "EmergingState",
     "EvolutionParams",
     "EvolvingState",
-    "FontMetrics",
     "TemporalTopicProfile",
     "TesMatrix",
     "Tet",
@@ -68,8 +67,6 @@ __all__ = [
     "parse_tes",
     "profile_to_csv",
     "prune_candidates",
-    "state_colors",
-    "tes_color",
     "tes_to_csv",
     "tet_from_json",
     "to_dot",

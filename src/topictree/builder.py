@@ -112,9 +112,4 @@ def build_tet(
             edges.extend(TetEdge(from_index=u, to_index=topic.index, tes=tes) for u, tes in retained)
         else:
             edges.append(TetEdge(from_index=ROOT_INDEX, to_index=topic.index, tes=1.0))
-    return Tet(
-        profile=profile,
-        edges=tuple(edges),
-        params=params,
-        latest_year=profile.latest_year,
-    )
+    return Tet(profile=profile, edges=tuple(edges), params=params)

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 bad arguments.
 Configuration is flags-only; no environment variables are consulted. Output
-files are written via temp-then-rename so failures never leave partial files.
+files are written via temp-then-rename so failures never leave partial files;
+an existing device or FIFO is written directly.
 """
 
 from __future__ import annotations
@@ -107,11 +108,19 @@ def _print_report(report: ValidationReport) -> None:
 
 
 def _write_text(path: str, text: str) -> None:
-    """Write atomically: temp file in the target directory, then rename."""
+    """Write atomically: temp file in the target directory, then rename.
+
+    An existing target that is not a regular file (a device, a FIFO) is
+    written directly, since renaming over it would replace it.
+    """
     if path == "-":
         sys.stdout.write(text)
         return
     target = Path(path)
+    if target.exists() and not target.is_file():
+        with open(target, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return
     fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:

@@ -17,13 +17,14 @@ import io
 import re
 from dataclasses import dataclass, field
 
-from .model import TemporalTopicProfile, TesMatrix, TopicRecord
+from .model import TemporalTopicProfile, TesMatrix, TopicRecord, non_xml_char
 
 # Profile error codes.
 MISSING_HEADER = "MissingHeader"
 DUPLICATE_HEADER = "DuplicateHeader"
 EMPTY_PROFILE = "EmptyProfile"
 EMPTY_ID = "EmptyId"
+BAD_CHARACTER = "BadCharacter"
 DUPLICATE_ID = "DuplicateId"
 BAD_INDEX = "BadIndex"
 DUPLICATE_INDEX = "DuplicateIndex"
@@ -202,6 +203,7 @@ def parse_profile(data: bytes) -> tuple[TemporalTopicProfile, ValidationReport]:
     indices_seen: dict[int, int] = {}
     for offset, row in enumerate(rows[1:]):
         rownum = offset + 2
+        errors_before = len(report.errors)
         topic_id = cell(row, "id")
         if not topic_id:
             report.error(rownum, "id", EMPTY_ID, "id must be non-empty")
@@ -217,12 +219,10 @@ def parse_profile(data: bytes) -> tuple[TemporalTopicProfile, ValidationReport]:
             report.error(
                 rownum, "index", BAD_INDEX, f"index must be a non-negative integer, got {cell(row, 'index')!r}"
             )
-            index = None
         elif index in indices_seen:
             report.error(
                 rownum, "index", DUPLICATE_INDEX, f"index {index} already used in row {indices_seen[index]}"
             )
-            index = None
         else:
             indices_seen[index] = rownum
 
@@ -233,7 +233,6 @@ def parse_profile(data: bytes) -> tuple[TemporalTopicProfile, ValidationReport]:
             )
         elif not 0.0 <= weight <= 1.0:
             report.error(rownum, "weight", WEIGHT_OUT_OF_RANGE, f"weight must be in [0, 1], got {weight}")
-            weight = None
 
         year = _parse_int(cell(row, "year"))
         if year is None:
@@ -246,10 +245,12 @@ def parse_profile(data: bytes) -> tuple[TemporalTopicProfile, ValidationReport]:
             )
         elif not words:
             report.error(rownum, "words", EMPTY_WORDS, "words must contain at least one term")
-            words = None
 
         label = cell(row, "label") or None
-        if topic_id and index is not None and weight is not None and year is not None and words:
+        for name, text in (("id", topic_id), ("label", label or "")):
+            if (char := non_xml_char(text)) is not None:
+                report.error(rownum, name, BAD_CHARACTER, f"{name} holds U+{ord(char):04X}, which XML cannot carry")
+        if len(report.errors) == errors_before:
             records.append(
                 (rownum, TopicRecord(id=topic_id, index=index, weight=weight, year=year, words=words, label=label))
             )
@@ -311,6 +312,9 @@ def parse_tes(
 
     years = [topic.year for topic in profile.topics]
     columns: list[list[float]] = [[] for _ in range(n)]
+    # A matrix repeats few cell texts (mostly "0"): parse each once, and
+    # store one float object per distinct text.
+    decimals: dict[str, float | None] = {}
     for i, row in enumerate(rows):
         for j, raw in enumerate(row):
             cell = raw.strip()
@@ -337,7 +341,9 @@ def parse_tes(
             if not cell:
                 report.error(rownum, colnum, BLANK_ABOVE_DIAGONAL, "blank cell above the diagonal")
                 continue
-            value = _parse_decimal(cell)
+            if cell not in decimals:
+                decimals[cell] = _parse_decimal(cell)
+            value = decimals[cell]
             if value is None:
                 report.error(rownum, colnum, BAD_NUMBER, f"not a plain decimal: {cell!r}")
                 continue

@@ -1,4 +1,4 @@
-"""Geometry for rendering: positions, colors, ticks and label placement.
+"""Geometry for rendering: positions, ticks and label placement.
 
 Node position is meaning, not aesthetics: x is linear in the topic's year,
 y is linear in its weight, so the picture reads as a timeline with topic
@@ -13,32 +13,20 @@ orientation): larger weight means smaller y.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
-from .model import EmergingState, EvolvingState, Tet
+from .model import Tet
 
 #: Compass directions tried for a label, in scan order.
 COMPASS = ("N", "NE", "E", "SE", "S", "SW", "W", "NW")
 
-#: Fill tokens for the five equal-width TES bins, light to dark.
-TES_TOKENS = ("tes-1", "tes-2", "tes-3", "tes-4", "tes-5")
-
-EMERGING_COLOR = {
-    EmergingState.BORN: "green",
-    EmergingState.FUSED: "purple",
-    EmergingState.REBORN: "orange",
-    EmergingState.FLOURISHING: None,
-}
-
-EVOLVING_COLOR = {
-    EvolvingState.SPLIT: "blue",
-    EvolvingState.DEAD: "red",
-    EvolvingState.FLOURISHING: None,
-}
-
 _DIAG = 0.7071067811865476  # 1/sqrt(2)
 _LABEL_GAP = 3.0
 _JITTER_STEP = 8.0
+
+# Crude text box model: a label is as wide as its characters and one line high.
+_CHAR_WIDTH = 7.2
+_LINE_HEIGHT = 12.0
 
 
 @dataclass(frozen=True)
@@ -47,14 +35,16 @@ class CanvasSpec:
 
     width: float = 1000.0
     height: float = 600.0
-    margin_left: float = 60.0
-    margin_right: float = 190.0
-    margin_top: float = 30.0
-    margin_bottom: float = 50.0
-    glyph_radius: float = 10.0
+
+    # Fixed for every canvas: unannotated, so they are not dataclass fields.
+    margin_left = 60.0
+    margin_right = 190.0
+    margin_top = 30.0
+    margin_bottom = 50.0
+    glyph_radius = 10.0
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
+        if not (math.isfinite(self.width) and math.isfinite(self.height)):
             raise ValueError("canvas sizes must be finite")
         if self.plot_width <= 0 or self.plot_height <= 0:
             raise ValueError("margins leave no plot area")
@@ -82,17 +72,6 @@ class CanvasSpec:
     @property
     def plot_height(self) -> float:
         return self.plot_bottom - self.plot_top
-
-
-@dataclass(frozen=True)
-class FontMetrics:
-    """Crude text box model: fixed per-character width and line height."""
-
-    char_width: float = 7.2
-    height: float = 12.0
-
-    def box_size(self, text: str) -> tuple[float, float]:
-        return (max(1, len(text)) * self.char_width, self.height)
 
 
 @dataclass(frozen=True)
@@ -172,31 +151,6 @@ def compute_positions(tet: Tet, canvas: CanvasSpec | None = None) -> dict[int, t
     return positions
 
 
-def tes_color(tes: float) -> str:
-    """Token for one of 5 equal-width TES bins; bins are left-closed, top bin closed."""
-    if not 0.0 <= tes <= 1.0:
-        raise ValueError(f"tes must be in [0, 1], got {tes}")
-    if tes < 0.2:
-        return TES_TOKENS[0]
-    if tes < 0.4:
-        return TES_TOKENS[1]
-    if tes < 0.6:
-        return TES_TOKENS[2]
-    if tes < 0.8:
-        return TES_TOKENS[3]
-    return TES_TOKENS[4]
-
-
-def state_colors(states: tuple[EmergingState, EvolvingState]) -> tuple[str | None, str | None]:
-    """Fixed palette; flourishing is uncolored (None).
-
-    The node glyph is a circle split vertically: left half shows the
-    emerging-state color, right half the evolving-state color.
-    """
-    emerging, evolving = states
-    return (EMERGING_COLOR[emerging], EVOLVING_COLOR[evolving])
-
-
 def _direction_box(
     direction: str, x: float, y: float, w: float, h: float, radius: float
 ) -> Rect:
@@ -223,10 +177,7 @@ def _direction_box(
 
 
 def place_labels(
-    positions: dict[int, tuple[float, float]],
-    labels: dict[int, str],
-    glyph_radius: float = 10.0,
-    font: FontMetrics | None = None,
+    positions: dict[int, tuple[float, float]], labels: dict[int, str]
 ) -> dict[int, LabelAnchor]:
     """Greedy one-pass label placement over 8 compass offsets.
 
@@ -234,14 +185,14 @@ def place_labels(
     the least total overlap against already-placed labels and all node
     glyphs. Best effort: a single pass, deterministic.
     """
-    font = font or FontMetrics()
+    glyph_radius = CanvasSpec.glyph_radius
     glyph_boxes = [
         Rect.centered(x, y, 2 * glyph_radius, 2 * glyph_radius) for x, y in positions.values()
     ]
     placed: dict[int, LabelAnchor] = {}
     for v in sorted(labels):
         x, y = positions[v]
-        w, h = font.box_size(labels[v])
+        w, h = max(1, len(labels[v])) * _CHAR_WIDTH, _LINE_HEIGHT
         best: tuple[float, str, Rect] | None = None
         for direction in COMPASS:
             box = _direction_box(direction, x, y, w, h, glyph_radius)
@@ -267,9 +218,7 @@ def axis_ticks(
     return x_ticks, y_ticks
 
 
-def compute_layout(
-    tet: Tet, canvas: CanvasSpec | None = None, font: FontMetrics | None = None
-) -> TetLayout:
+def compute_layout(tet: Tet, canvas: CanvasSpec | None = None) -> TetLayout:
     """Assemble the full layout for a tree."""
     canvas = canvas or CanvasSpec()
     positions = compute_positions(tet, canvas)
@@ -277,7 +226,7 @@ def compute_layout(
     x_ticks, y_ticks = axis_ticks(tet, canvas)
     return TetLayout(
         positions=positions,
-        label_anchors=place_labels(positions, labels, canvas.glyph_radius, font),
+        label_anchors=place_labels(positions, labels),
         x_ticks=x_ticks,
         y_ticks=y_ticks,
         canvas=canvas,

@@ -7,6 +7,7 @@ own invariants and raises ``ValueError`` on violation.
 from __future__ import annotations
 
 import enum
+import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -14,6 +15,15 @@ from functools import cached_property
 #: Index of the artificial root node. The root carries no year, weight or
 #: states; it exists only so that parentless topics have somewhere to attach.
 ROOT_INDEX = -1
+
+# Characters XML 1.0 cannot carry, even escaped; ids and labels end up in SVG.
+_NON_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def non_xml_char(text: str) -> str | None:
+    """The first character of `text` that XML 1.0 cannot carry, or None."""
+    match = _NON_XML_CHAR.search(text)
+    return match.group() if match else None
 
 
 class ThresholdMode(enum.Enum):
@@ -54,6 +64,9 @@ class TopicRecord:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("topic id must be non-empty")
+        for name, text in (("id", self.id), ("label", self.label or "")):
+            if (char := non_xml_char(text)) is not None:
+                raise ValueError(f"topic {self.id!r}: {name} holds U+{ord(char):04X}, which XML cannot carry")
         if self.index < 0:
             raise ValueError(f"topic {self.id!r}: index must be >= 0, got {self.index}")
         if not 0.0 <= self.weight <= 1.0:
@@ -235,7 +248,6 @@ class Tet:
     profile: TemporalTopicProfile
     edges: tuple[TetEdge, ...]
     params: EvolutionParams
-    latest_year: int
 
     def __post_init__(self) -> None:
         valid = {t.index for t in self.profile.topics}
@@ -275,10 +287,11 @@ class Tet:
                         f"parents {shared.bit_length() - 1} and {b} of topic {v} "
                         f"lie on the same pathway"
                     )
-        if self.latest_year != self.profile.latest_year:
-            raise ValueError(
-                f"latest_year {self.latest_year} does not match profile ({self.profile.latest_year})"
-            )
+
+    @property
+    def latest_year(self) -> int:
+        """The profile's latest year; the dead gate counts trailing years up to it."""
+        return self.profile.latest_year
 
     @cached_property
     def _parent_map(self) -> dict[int, tuple[int, ...]]:

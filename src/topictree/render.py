@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import math
-from xml.sax.saxutils import escape, quoteattr
 
 from .ingest import format_number
-from .layout import CanvasSpec, TetLayout, compute_layout, state_colors, tes_color
+from .layout import CanvasSpec, TetLayout, compute_layout
 from .model import (
     ROOT_INDEX,
+    EmergingState,
     EvolutionParams,
+    EvolvingState,
     TemporalTopicProfile,
     Tet,
     TetEdge,
@@ -25,34 +26,52 @@ from .model import (
     TopicRecord,
 )
 
-STATE_FILL = {
-    "green": "#2ca02c",
-    "purple": "#9467bd",
-    "orange": "#ff7f0e",
-    "blue": "#1f77b4",
-    "red": "#d62728",
-    None: "#ffffff",
+#: Glyph fills: a topic's circle is split vertically, the left half showing
+#: its emerging state and the right half its evolving state. Flourishing is
+#: left white.
+EMERGING_FILL = {
+    EmergingState.BORN: "#2ca02c",
+    EmergingState.FUSED: "#9467bd",
+    EmergingState.REBORN: "#ff7f0e",
+    EmergingState.FLOURISHING: "#ffffff",
 }
 
-TES_FILL = {
-    "tes-1": "#deebf7",
-    "tes-2": "#9ecae1",
-    "tes-3": "#6baed6",
-    "tes-4": "#3182bd",
-    "tes-5": "#08519c",
+EVOLVING_FILL = {
+    EvolvingState.SPLIT: "#1f77b4",
+    EvolvingState.DEAD: "#d62728",
+    EvolvingState.FLOURISHING: "#ffffff",
 }
 
-TES_BIN_LABELS = {
-    "tes-1": "[0.0, 0.2)",
-    "tes-2": "[0.2, 0.4)",
-    "tes-3": "[0.4, 0.6)",
-    "tes-4": "[0.6, 0.8)",
-    "tes-5": "[0.8, 1.0]",
-}
+#: The five equal-width TES bins, light to dark: (token, fill, legend label).
+TES_BINS = (
+    ("tes-1", "#deebf7", "[0.0, 0.2)"),
+    ("tes-2", "#9ecae1", "[0.2, 0.4)"),
+    ("tes-3", "#6baed6", "[0.4, 0.6)"),
+    ("tes-4", "#3182bd", "[0.6, 0.8)"),
+    ("tes-5", "#08519c", "[0.8, 1.0]"),
+)
 
 _ROOT_STROKE = "#999999"
 _AXIS_STROKE = "#333333"
 _FONT = "font-family=\"sans-serif\""
+
+
+def tes_bin(tes: float) -> tuple[str, str, str]:
+    """The :data:`TES_BINS` entry of a TES in [0, 1]; bins are left-closed, the top bin closed."""
+    if tes < 0.2:
+        return TES_BINS[0]
+    if tes < 0.4:
+        return TES_BINS[1]
+    if tes < 0.6:
+        return TES_BINS[2]
+    if tes < 0.8:
+        return TES_BINS[3]
+    return TES_BINS[4]
+
+
+def _escape(text: str) -> str:
+    """XML character data: the three characters that markup would claim."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(x: float) -> str:
@@ -83,7 +102,7 @@ def _svg_edge_path(
         x2, y2 = x2 - ux * (r + 3), y2 - uy * (r + 3)
     dash = ' stroke-dasharray="4 3"' if dashed else ""
     return (
-        f'<path id={quoteattr(eid)} class="edge" d="M {_fmt(x1)} {_fmt(y1)} L {_fmt(x2)} {_fmt(y2)}" '
+        f'<path id="{eid}" class="edge" d="M {_fmt(x1)} {_fmt(y1)} L {_fmt(x2)} {_fmt(y2)}" '
         f'stroke="{stroke}" stroke-width="1.8" fill="none" marker-end="url(#{marker})"{dash}/>'
     )
 
@@ -95,14 +114,9 @@ def _svg_legends(canvas: CanvasSpec) -> list[str]:
     out.append(f'<text x="{_fmt(x)}" y="{_fmt(y)}" {_FONT} font-size="13" font-weight="bold">Evolution states</text>')
     y += 16
     out.append(f'<text x="{_fmt(x)}" y="{_fmt(y)}" {_FONT} font-size="10" fill="#555555">left half: emerging, right half: evolving</text>')
-    entries = [
-        ("born", STATE_FILL["green"]),
-        ("fused", STATE_FILL["purple"]),
-        ("reborn", STATE_FILL["orange"]),
-        ("split", STATE_FILL["blue"]),
-        ("dead", STATE_FILL["red"]),
-        ("flourishing", STATE_FILL[None]),
-    ]
+    # flourishing is white in both halves, so it is listed once, last
+    entries = [(state.value, fill) for state, fill in EMERGING_FILL.items() if state is not EmergingState.FLOURISHING]
+    entries += [(state.value, fill) for state, fill in EVOLVING_FILL.items()]
     for name, fill in entries:
         y += 17
         out.append(
@@ -114,12 +128,12 @@ def _svg_legends(canvas: CanvasSpec) -> list[str]:
     out.append('<g id="legend-strength">')
     y += 34
     out.append(f'<text x="{_fmt(x)}" y="{_fmt(y)}" {_FONT} font-size="13" font-weight="bold">Evolutionary strength</text>')
-    for token in ("tes-1", "tes-2", "tes-3", "tes-4", "tes-5"):
+    for _, fill, label in TES_BINS:
         y += 17
         out.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y - 10)}" width="14" height="12" fill="{TES_FILL[token]}" stroke="#333333" stroke-width="0.7"/>'
+            f'<rect x="{_fmt(x)}" y="{_fmt(y - 10)}" width="14" height="12" fill="{fill}" stroke="#333333" stroke-width="0.7"/>'
         )
-        out.append(f'<text x="{_fmt(x + 20)}" y="{_fmt(y)}" {_FONT} font-size="11">{TES_BIN_LABELS[token]}</text>')
+        out.append(f'<text x="{_fmt(x + 20)}" y="{_fmt(y)}" {_FONT} font-size="11">{label}</text>')
     out.append("</g>")
     return out
 
@@ -185,7 +199,7 @@ def to_svg(tet: Tet, layout: TetLayout | None = None, show_root: bool = False) -
         f'height="{_fmt(canvas.height)}" viewBox="0 0 {_fmt(canvas.width)} {_fmt(canvas.height)}">',
         "<defs>",
     ]
-    for token, fill in TES_FILL.items():
+    for token, fill, _ in TES_BINS:
         lines.append(
             f'<marker id="arrow-{token}" viewBox="0 0 10 10" refX="9" refY="5" '
             f'markerWidth="7" markerHeight="7" orient="auto-start-reverse">'
@@ -212,7 +226,7 @@ def to_svg(tet: Tet, layout: TetLayout | None = None, show_root: bool = False) -
                 _svg_edge_path(eid, root_pos, layout.positions[e.to_index], r, _ROOT_STROKE, "arrow-root", True)
             )
         else:
-            token = tes_color(e.tes)
+            token, fill, _ = tes_bin(e.tes)
             eid = f"edge-{e.from_index}-{e.to_index}"
             lines.append(
                 _svg_edge_path(
@@ -220,7 +234,7 @@ def to_svg(tet: Tet, layout: TetLayout | None = None, show_root: bool = False) -
                     layout.positions[e.from_index],
                     layout.positions[e.to_index],
                     r,
-                    TES_FILL[token],
+                    fill,
                     f"arrow-{token}",
                     False,
                 )
@@ -237,10 +251,10 @@ def to_svg(tet: Tet, layout: TetLayout | None = None, show_root: bool = False) -
         lines.append("</g>")
     for topic in tet.profile.topics:
         x, y = layout.positions[topic.index]
-        emerging_fill, evolving_fill = (STATE_FILL[c] for c in state_colors(tet.states[topic.index]))
+        emerging, evolving = tet.states[topic.index]
         lines.append(f'<g id="node-{topic.index}" class="node">')
-        lines.append(_svg_half_circle(x, y, r, True, emerging_fill))
-        lines.append(_svg_half_circle(x, y, r, False, evolving_fill))
+        lines.append(_svg_half_circle(x, y, r, True, EMERGING_FILL[emerging]))
+        lines.append(_svg_half_circle(x, y, r, False, EVOLVING_FILL[evolving]))
         lines.append(
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" fill="none" stroke="#333333" stroke-width="1"/>'
         )
@@ -254,7 +268,7 @@ def to_svg(tet: Tet, layout: TetLayout | None = None, show_root: bool = False) -
         baseline = (anchor.box.y0 + anchor.box.y1) / 2 + 4
         lines.append(
             f'<text class="node-label" x="{_fmt(cx)}" y="{_fmt(baseline)}" {_FONT} '
-            f'font-size="11" text-anchor="middle">{escape(topic.display_label)}</text>'
+            f'font-size="11" text-anchor="middle">{_escape(topic.display_label)}</text>'
         )
     lines.append("</g>")
 
@@ -358,8 +372,8 @@ def _number(value: object, where: str) -> float:
 def tet_from_json(text: str) -> Tet:
     """Parse the JSON document back into a tree; inverse of :func:`to_json`.
 
-    The states are derived from the tree, and a document whose stored
-    states disagree with them is rejected. Raises ``ValueError`` on
+    The states and ``latest_year`` are derived from the tree, and a document
+    whose stored values disagree with them is rejected. Raises ``ValueError`` on
     malformed input, including structural problems that violate tree
     invariants.
     """
@@ -402,12 +416,10 @@ def tet_from_json(text: str) -> Tet:
             )
             for k, e in enumerate(doc["edges"])
         )
-        tet = Tet(
-            profile=TemporalTopicProfile(topics=tuple(topics)),
-            edges=edges,
-            params=params,
-            latest_year=_integer(doc["latest_year"], "latest_year"),
-        )
+        latest_year = _integer(doc["latest_year"], "latest_year")
+        tet = Tet(profile=TemporalTopicProfile(topics=tuple(topics)), edges=edges, params=params)
+        if latest_year != tet.latest_year:
+            raise ValueError(f"latest_year {latest_year} does not match profile ({tet.latest_year})")
         for node, topic in zip(doc["nodes"], topics):
             stored = (node["emerging_state"], node["evolving_state"])
             derived = tuple(state.value for state in tet.states[topic.index])

@@ -183,6 +183,7 @@ PROFILE_CORRUPTIONS = [
     (ingest.BAD_YEAR, lambda text: text.replace("t1,0,A,0.75,2001", "t1,0,A,0.75,20x1")),
     (ingest.EMPTY_WORDS, lambda text: text.replace("\"['opinion', 'computer', 'lab', 'user', 'human']\"", "[]")),
     (ingest.DUPLICATE_ID, lambda text: text.replace("t2,1,", "t1,1,")),
+    (ingest.BAD_CHARACTER, lambda text: text.replace("t1,0,A,", "t1,0,A\x01,")),
 ]
 
 MATRIX_CORRUPTIONS = [
@@ -264,11 +265,11 @@ def test_criterion_6_ingestion(profile_csv, tes_csv, fixture_profile):
                 for issue in exc.report.errors:
                     assert issue.code and issue.message
                     assert issue.row is not None or issue.column is not None
-    print(f"ACCEPTANCE 6: PASS - fixtures parse, 12 error codes triggered, {runs}-input fuzz clean")
+    print(f"ACCEPTANCE 6: PASS - fixtures parse, 13 error codes triggered, {runs}-input fuzz clean")
 
 
 #: Values a tree-document mutation puts in place of a leaf or subtree.
-JSON_POISON = (None, True, False, 2**70, -(2**70), math.nan, math.inf, -math.inf, "", "0.5", "7", [], {})
+JSON_POISON = (None, True, False, 2**70, -(2**70), math.nan, math.inf, -math.inf, "", "0.5", "7", "\x01", [], {})
 
 
 def _json_slots(node, out: list) -> list:

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -83,6 +84,21 @@ class TestBuild:
         assert main(build_args(profile, corrupt, "--out", str(out))) == 1
         assert not out.exists()
 
+    def test_fifo_target_is_written_not_replaced(self, fixture_paths, tmp_path):
+        profile, tes = fixture_paths
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        # a reader must exist before the CLI opens the FIFO for writing; the
+        # document fits in the pipe buffer, so the write does not block
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(build_args(profile, tes, "--out", str(fifo))) == 0
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert len(json.loads(data)["nodes"]) == 11
+
 
 #: Tree documents that must be rejected: mutation of the fixture document (or
 #: replacement text) and a fragment the error message must contain.
@@ -103,6 +119,8 @@ MALFORMED_TREES = {
     "tes-string": (lambda doc: doc["edges"][2].update(tes="0.9"), "edges[2].tes"),
     "root-tes-bool": (lambda doc: doc["edges"][0].update(tes=True), "edges[0].tes"),
     "min-tes-string": (lambda doc: doc["params"].update(min_tes="0.2"), "params.min_tes"),
+    "label-control-char": (lambda doc: doc["nodes"][0].update(label="A\x01"), "U+0001"),
+    "id-lone-surrogate": (lambda doc: doc["nodes"][0].update(id="t\ud800"), "U+D800"),
 }
 
 
@@ -230,3 +248,5 @@ class TestHelp:
         loaded = set(proc.stdout.split())
         assert "topictree" in loaded
         assert loaded - set(sys.stdlib_module_names) - {"__main__", "topictree"} == set()
+        # xml.sax.saxutils alone would pull in urllib.request, http, email and ssl
+        assert loaded & {"xml", "http", "email", "ssl", "socket"} == set()

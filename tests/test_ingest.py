@@ -258,3 +258,9 @@ class TestParseTes:
         softened = tes_csv.replace(b"1,0,", b",0,", 1)
         matrix, _ = parse_tes(softened, fixture_profile)
         assert matrix == fixture_matrix
+
+    def test_repeated_cell_text_stored_once(self, fixture_profile):
+        n = len(fixture_profile)
+        rows = ([""] * i + ["1"] + ["0"] * (n - 1 - i) for i in range(n))
+        matrix, _ = parse_tes("".join(",".join(row) + "\n" for row in rows).encode(), fixture_profile)
+        assert len({id(v) for column in matrix.columns for v in column}) == 1

@@ -8,13 +8,10 @@ from topictree.builder import build_tet
 from topictree.layout import (
     COMPASS,
     CanvasSpec,
-    FontMetrics,
     axis_ticks,
     compute_layout,
     compute_positions,
     place_labels,
-    state_colors,
-    tes_color,
 )
 from topictree.model import (
     EmergingState,
@@ -24,7 +21,7 @@ from topictree.model import (
     TesMatrix,
     TopicRecord,
 )
-from topictree.render import TES_FILL, to_svg
+from topictree.render import EMERGING_FILL, EVOLVING_FILL, tes_bin, to_svg
 
 A, B, C, D, E, F, G, H, I, J, K = range(11)
 
@@ -117,26 +114,21 @@ class TestTesColor:
         ],
     )
     def test_bins(self, tes, token):
-        assert tes_color(tes) == token
-
-    @pytest.mark.parametrize("tes", [-0.1, 1.1])
-    def test_out_of_range_rejected(self, tes):
-        with pytest.raises(ValueError):
-            tes_color(tes)
+        assert tes_bin(tes)[0] == token
 
 
 class TestStateColors:
     def test_born_split(self):
-        assert state_colors((EmergingState.BORN, EvolvingState.SPLIT)) == ("green", "blue")
+        assert (EMERGING_FILL[EmergingState.BORN], EVOLVING_FILL[EvolvingState.SPLIT]) == ("#2ca02c", "#1f77b4")
 
     def test_flourishing_uncolored(self):
-        assert state_colors((EmergingState.FLOURISHING, EvolvingState.FLOURISHING)) == (None, None)
+        assert EMERGING_FILL[EmergingState.FLOURISHING] == EVOLVING_FILL[EvolvingState.FLOURISHING] == "#ffffff"
 
     def test_fused_dead(self):
-        assert state_colors((EmergingState.FUSED, EvolvingState.DEAD)) == ("purple", "red")
+        assert (EMERGING_FILL[EmergingState.FUSED], EVOLVING_FILL[EvolvingState.DEAD]) == ("#9467bd", "#d62728")
 
     def test_reborn_orange(self):
-        assert state_colors((EmergingState.REBORN, EvolvingState.SPLIT))[0] == "orange"
+        assert EMERGING_FILL[EmergingState.REBORN] == "#ff7f0e"
 
 
 class TestPlaceLabels:
@@ -167,11 +159,11 @@ class TestPlaceLabels:
             assert anchors[0].direction in COMPASS
 
     def test_font_metrics_scale_box(self):
-        font = FontMetrics(char_width=10.0, height=20.0)
-        anchors = place_labels({0: (50.0, 50.0)}, {0: "abcd"}, font=font)
+        # 7.2 units per character, 12 units per line
+        anchors = place_labels({0: (50.0, 50.0)}, {0: "abcd"})
         box = anchors[0].box
-        assert box.x1 - box.x0 == 40.0
-        assert box.y1 - box.y0 == 20.0
+        assert box.x1 - box.x0 == pytest.approx(28.8)
+        assert box.y1 - box.y0 == pytest.approx(12.0)
 
 
 class TestAxisTicks:
@@ -205,7 +197,7 @@ class TestComputeLayout:
             entry = fixture_matrix.columns[fixture_profile.position_of(e.to_index)][
                 fixture_profile.position_of(e.from_index)
             ]
-            assert strokes[f"edge-{e.from_index}-{e.to_index}"] == TES_FILL[tes_color(entry)]
+            assert strokes[f"edge-{e.from_index}-{e.to_index}"] == tes_bin(entry)[1]
 
     def test_margins_must_leave_plot_area(self):
         with pytest.raises(ValueError):

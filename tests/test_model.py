@@ -131,7 +131,7 @@ class TestTetEdge:
 
 def make_tet(profile, edge_triples):
     edges = tuple(TetEdge(from_index=a, to_index=b, tes=t) for a, b, t in edge_triples)
-    return Tet(profile=profile, edges=edges, params=EvolutionParams(), latest_year=profile.latest_year)
+    return Tet(profile=profile, edges=edges, params=EvolutionParams())
 
 
 class TestTet:
@@ -176,14 +176,12 @@ class TestTet:
         assert set(tet.parents_of(2)) == {0, 1}
 
     def test_latest_year_must_match_profile(self):
+        # derived from the profile, so a disagreeing value cannot be passed in
         p = profile_of(2001, 2002)
-        with pytest.raises(ValueError, match="latest_year"):
-            Tet(
-                profile=p,
-                edges=(TetEdge(ROOT_INDEX, 0, 1.0), TetEdge(0, 1, 0.5)),
-                params=EvolutionParams(),
-                latest_year=2003,
-            )
+        edges = (TetEdge(ROOT_INDEX, 0, 1.0), TetEdge(0, 1, 0.5))
+        assert make_tet(p, [(ROOT_INDEX, 0, 1.0), (0, 1, 0.5)]).latest_year == 2002
+        with pytest.raises(TypeError, match="latest_year"):
+            Tet(profile=p, edges=edges, params=EvolutionParams(), latest_year=2003)
 
     def test_ancestors_of_transitive(self):
         # chain 0 -> 1 -> 3, and 4 fused from the unrelated 1 and 2
