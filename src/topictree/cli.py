@@ -143,11 +143,10 @@ def _build_from_args(args: argparse.Namespace) -> Tet:
     return build_tet(profile, matrix, params)
 
 
-def _render_text(tet: Tet, fmt: str, args: argparse.Namespace) -> str:
+def _render_text(tet: Tet, fmt: str, canvas: CanvasSpec, show_root: bool) -> str:
     if fmt == "dot":
-        return to_dot(tet, show_root=args.show_root)
-    layout = compute_layout(tet, _canvas_from_args(args))
-    return to_svg(tet, layout, show_root=args.show_root)
+        return to_dot(tet, show_root=show_root)
+    return to_svg(tet, compute_layout(tet, canvas), show_root=show_root)
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -156,18 +155,21 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    canvas = _canvas_from_args(args)
     tet = tet_from_json(Path(args.tet).read_text(encoding="utf-8"))
-    _write_text(args.out, _render_text(tet, args.format, args))
+    _write_text(args.out, _render_text(tet, args.format, canvas, args.show_root))
     return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    # a bad canvas must fail before tet.json is written
+    canvas = _canvas_from_args(args)
     tet = _build_from_args(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_text(str(out_dir / "tet.json"), to_json(tet))
     for fmt in ("svg", "dot"):
-        _write_text(str(out_dir / f"tet.{fmt}"), _render_text(tet, fmt, args))
+        _write_text(str(out_dir / f"tet.{fmt}"), _render_text(tet, fmt, canvas, args.show_root))
     return EXIT_OK
 
 

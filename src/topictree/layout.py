@@ -28,6 +28,9 @@ _JITTER_STEP = 8.0
 _CHAR_WIDTH = 7.2
 _LINE_HEIGHT = 12.0
 
+# Side of the square cells that label placement buckets boxes into.
+_CELL = 32.0
+
 
 @dataclass(frozen=True)
 class CanvasSpec:
@@ -42,10 +45,13 @@ class CanvasSpec:
     margin_top = 30.0
     margin_bottom = 50.0
     glyph_radius = 10.0
+    #: Largest width or height: coordinates stay short decimals and box centres cannot overflow.
+    max_size = 1e6
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.width) and math.isfinite(self.height)):
-            raise ValueError("canvas sizes must be finite")
+        # written so that NaN fails it too
+        if not (self.width <= self.max_size and self.height <= self.max_size):
+            raise ValueError(f"canvas sizes must be finite and at most {self.max_size:g}")
         if self.plot_width <= 0 or self.plot_height <= 0:
             raise ValueError("margins leave no plot area")
 
@@ -176,6 +182,35 @@ def _direction_box(
     raise ValueError(f"unknown direction {direction!r}")
 
 
+def _cells(box: Rect) -> list[tuple[int, int]]:
+    """Grid cells a box touches, boundaries included.
+
+    Two boxes with a positive intersection share a point, and that point's
+    cell is in both lists.
+    """
+    xs = range(math.floor(box.x0 / _CELL), math.floor(box.x1 / _CELL) + 1)
+    ys = range(math.floor(box.y0 / _CELL), math.floor(box.y1 / _CELL) + 1)
+    return [(i, j) for i in xs for j in ys]
+
+
+class _Grid:
+    """Boxes bucketed into every grid cell they touch, in insertion order."""
+
+    def __init__(self) -> None:
+        self.boxes: list[Rect] = []
+        self.buckets: dict[tuple[int, int], list[int]] = {}
+
+    def add(self, box: Rect) -> None:
+        for cell in _cells(box):
+            self.buckets.setdefault(cell, []).append(len(self.boxes))
+        self.boxes.append(box)
+
+    def near(self, cells: list[tuple[int, int]]) -> list[Rect]:
+        """Each box bucketed in any of ``cells``, once, in insertion order."""
+        found = {k for cell in cells for k in self.buckets.get(cell, ())}
+        return [self.boxes[k] for k in sorted(found)]
+
+
 def place_labels(
     positions: dict[int, tuple[float, float]], labels: dict[int, str]
 ) -> dict[int, LabelAnchor]:
@@ -184,11 +219,19 @@ def place_labels(
     Nodes are visited in index order; each label takes the first offset with
     the least total overlap against already-placed labels and all node
     glyphs. Best effort: a single pass, deterministic.
+
+    Glyph boxes and placed label boxes sit in a uniform grid of square
+    cells, so an offset is scored only against the boxes that share a cell
+    with it. The boxes left out overlap it by exactly 0.0, and the rest are
+    summed in the all-pairs order (glyphs in ``positions`` order, then labels
+    in placement order), so every sum, tie-break and box matches a scan of
+    all glyphs and labels.
     """
     glyph_radius = CanvasSpec.glyph_radius
-    glyph_boxes = [
-        Rect.centered(x, y, 2 * glyph_radius, 2 * glyph_radius) for x, y in positions.values()
-    ]
+    glyphs = _Grid()
+    for x, y in positions.values():
+        glyphs.add(Rect.centered(x, y, 2 * glyph_radius, 2 * glyph_radius))
+    placed_boxes = _Grid()
     placed: dict[int, LabelAnchor] = {}
     for v in sorted(labels):
         x, y = positions[v]
@@ -196,14 +239,16 @@ def place_labels(
         best: tuple[float, str, Rect] | None = None
         for direction in COMPASS:
             box = _direction_box(direction, x, y, w, h, glyph_radius)
-            overlap = sum(box.intersection_area(g) for g in glyph_boxes)
-            overlap += sum(box.intersection_area(a.box) for a in placed.values())
+            cells = _cells(box)
+            overlap = sum(box.intersection_area(g) for g in glyphs.near(cells))
+            overlap += sum(box.intersection_area(a) for a in placed_boxes.near(cells))
             if best is None or overlap < best[0]:
                 best = (overlap, direction, box)
             if overlap == 0.0:
                 break
         assert best is not None
         placed[v] = LabelAnchor(direction=best[1], box=best[2])
+        placed_boxes.add(best[2])
     return placed
 
 

@@ -2,13 +2,23 @@
 
 The re-implementations here (candidate scan, ancestor closure, brute-force
 antichain oracle) deliberately avoid the library's code paths so they can
-serve as oracles for it.
+serve as oracles for it. The all-pairs label placement shares the library's
+box geometry and tie-breaks and leaves out only its spatial grid.
 """
 
 from __future__ import annotations
 
 import random
 
+from topictree.layout import (
+    _CHAR_WIDTH,
+    _LINE_HEIGHT,
+    COMPASS,
+    CanvasSpec,
+    LabelAnchor,
+    Rect,
+    _direction_box,
+)
 from topictree.model import (
     EvolutionParams,
     TemporalTopicProfile,
@@ -199,3 +209,30 @@ def structural_violations(tet, matrix: TesMatrix, params: EvolutionParams) -> li
             if not justified:
                 problems.append(f"topic {v}: candidate {u} was dropped without justification")
     return problems
+
+
+def place_labels_bruteforce(
+    positions: dict[int, tuple[float, float]], labels: dict[int, str]
+) -> dict[int, LabelAnchor]:
+    """Label placement oracle: scores every compass offset against every glyph
+    and every placed label, with the library's box geometry and tie-breaks."""
+    glyph_radius = CanvasSpec.glyph_radius
+    glyph_boxes = [
+        Rect.centered(x, y, 2 * glyph_radius, 2 * glyph_radius) for x, y in positions.values()
+    ]
+    placed: dict[int, LabelAnchor] = {}
+    for v in sorted(labels):
+        x, y = positions[v]
+        w, h = max(1, len(labels[v])) * _CHAR_WIDTH, _LINE_HEIGHT
+        best: tuple[float, str, Rect] | None = None
+        for direction in COMPASS:
+            box = _direction_box(direction, x, y, w, h, glyph_radius)
+            overlap = sum(box.intersection_area(g) for g in glyph_boxes)
+            overlap += sum(box.intersection_area(a.box) for a in placed.values())
+            if best is None or overlap < best[0]:
+                best = (overlap, direction, box)
+            if overlap == 0.0:
+                break
+        assert best is not None
+        placed[v] = LabelAnchor(direction=best[1], box=best[2])
+    return placed

@@ -1,5 +1,8 @@
 import json
+import math
 import os
+import random
+import re
 import stat
 import subprocess
 import sys
@@ -176,6 +179,16 @@ class TestRender:
             assert main(["render", "--tet", str(tet_json_path), "--width", width]) == 3
             assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("flag", ["--width", "--height"])
+    def test_oversized_canvas_is_usage_error(self, tet_json_path, tmp_path, capsys, flag):
+        # 1e308 overflowed a label's centre to inf; the ceiling is 1e6 canvas units
+        for size in ("1e308", repr(math.nextafter(1e6, math.inf))):
+            out = tmp_path / "tet.svg"
+            assert main(["render", "--tet", str(tet_json_path), flag, size, "--out", str(out)]) == 3
+            assert "at most 1e+06" in capsys.readouterr().err
+            assert not out.exists()
+        assert main(["render", "--tet", str(tet_json_path), flag, "1e6", "--out", str(out)]) == 0
+
     @pytest.mark.parametrize("mutate,fragment", MALFORMED_TREES.values(), ids=MALFORMED_TREES)
     def test_malformed_tree_is_validation_error(self, tet_json_path, tmp_path, capsys, mutate, fragment):
         doc = json.loads(tet_json_path.read_text())
@@ -219,6 +232,83 @@ class TestRun:
         args = ["run", "--profile", str(profile), "--tes", str(tes), "--out-dir", str(blocker)]
         assert main(args) == 2
         assert "i/o error" in capsys.readouterr().err
+
+
+#: Values the flag fuzz substitutes: non-finite, signed zero, extreme and
+#: subnormal floats, huge integers, empty and non-ASCII text (some of which
+#: Python reads as digits), and values that are valid.
+FUZZ_VALUES = (
+    "nan", "-nan", "inf", "-inf", "-0", "0", "1e308", "-1e308", "1e-320", "1e6", "1000000.0000000001",
+    "9" * 30, "-" + "9" * 31, "1" + "0" * 40, "", " ", "0x10", "1_000", "٣", "１２００", "é", "日本語",
+    "0.2", "0.5", "1", "2", "900", "1400", "inclusive", "exclusive", "svg", "dot", "png",
+)
+
+#: The flags each command takes from the fuzzed set.
+FUZZ_FLAGS = {
+    "build": ("--min-tes", "--min-reborn", "--min-dead", "--threshold-mode"),
+    "render": ("--width", "--height", "--format"),
+    "run": ("--min-tes", "--min-reborn", "--min-dead", "--threshold-mode", "--width", "--height"),
+}
+
+_NON_FINITE = re.compile(r"\b(inf|nan)\b", re.IGNORECASE)
+
+
+def _no_nonfinite_json(constant):
+    raise AssertionError(f"non-finite number {constant} in JSON output")
+
+
+def _fuzz_cases(rng):
+    """(command, flag arguments): every value once in every flag, then random
+    combinations of one to three flags, some given twice (the last value wins)."""
+    for command, flags in FUZZ_FLAGS.items():
+        for flag in flags:
+            for value in FUZZ_VALUES:
+                yield command, [flag, value]
+    for _ in range(150):
+        command = rng.choice(sorted(FUZZ_FLAGS))
+        extra = []
+        for flag in rng.sample(FUZZ_FLAGS[command], rng.randint(1, 3)):
+            for _ in range(rng.choice((1, 1, 2))):
+                value = rng.choice(FUZZ_VALUES)
+                extra += [f"{flag}={value}"] if rng.random() < 0.5 else [flag, value]
+        yield command, extra
+
+
+class TestFlagFuzz:
+    def test_mutated_flags_exit_cleanly(self, fixture_paths, tet_json_path, tmp_path, capsys):
+        profile, tes = fixture_paths
+        exits = set()
+        for case, (command, extra) in enumerate(_fuzz_cases(random.Random(17))):
+            out = tmp_path / f"case{case}"
+            if command == "build":
+                argv = build_args(profile, tes, "--out", str(out / "tet.json"))
+            elif command == "render":
+                argv = ["render", "--tet", str(tet_json_path), "--out", str(out / "tet.out")]
+            else:
+                argv = ["run", "--profile", str(profile), "--tes", str(tes), "--out-dir", str(out)]
+            if command != "run":
+                out.mkdir()
+            argv += extra
+
+            code = main(argv)
+            capsys.readouterr()
+            assert code in (0, 1, 2, 3), argv
+            exits.add(code)
+            written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+            if code != 0:
+                assert written == [], argv
+                continue
+            for name in written:
+                text = (out / name).read_text(encoding="utf-8")
+                if name == "tet.json":
+                    json.loads(text, parse_constant=_no_nonfinite_json)
+                elif name == "tet.dot" or text.startswith("digraph"):
+                    check_dot(text)
+                else:
+                    for element in ET.fromstring(text).iter():
+                        bad = [v for v in element.attrib.values() if _NON_FINITE.search(v)]
+                        assert bad == [], (argv, element.tag, bad)
+        assert exits == {0, 3}
 
 
 class TestHelp:

@@ -1,13 +1,19 @@
+import math
 import random
 import xml.etree.ElementTree as ET
+from dataclasses import astuple
 
 import pytest
 
-from helpers import random_instance
+from helpers import place_labels_bruteforce, random_instance
 from topictree.builder import build_tet
 from topictree.layout import (
+    _CELL,
+    _CHAR_WIDTH,
+    _LINE_HEIGHT,
     COMPASS,
     CanvasSpec,
+    _direction_box,
     axis_ticks,
     compute_layout,
     compute_positions,
@@ -39,6 +45,41 @@ def rec(index, year, weight, **kw):
     kw.setdefault("id", f"t{index}")
     kw.setdefault("words", ("w",))
     return TopicRecord(index=index, year=year, weight=weight, **kw)
+
+
+def _coordinate(rng, span):
+    """A coordinate in [-span, span]: anywhere, on a grid line, next to one, or
+    where a glyph or a one-character label box edge lands on one."""
+    kind = rng.randrange(4)
+    line = rng.randint(-span // int(_CELL), span // int(_CELL)) * _CELL
+    if kind == 0:
+        return rng.uniform(-span, span)
+    if kind == 1:
+        return line
+    if kind == 2:
+        return math.nextafter(line, rng.choice((-math.inf, math.inf)))
+    return line + rng.choice((-1, 1)) * rng.choice((DEFAULT.glyph_radius, _CHAR_WIDTH / 2, _LINE_HEIGHT / 2))
+
+
+def random_label_input(rng):
+    """Positions and labels for `place_labels`: crowded or sparse, with negative
+    coordinates, coordinates on and beside cell boundaries, coincident nodes,
+    nodes given no label, and empty, short and very long labels."""
+    n = rng.randint(1, 24)
+    span = rng.choice((40, 160, 640))
+    positions = {}
+    for v in rng.sample(range(3 * n), n):
+        if positions and rng.random() < 0.15:
+            positions[v] = rng.choice(list(positions.values()))
+        else:
+            positions[v] = (_coordinate(rng, span), _coordinate(rng, span))
+    labels = {}
+    for v in positions:
+        if rng.random() < 0.2:
+            continue
+        length = rng.choice((0, 1, rng.randint(2, 12), rng.randint(40, 300)))
+        labels[v] = "éx" * (length // 2) + "y" * (length % 2)
+    return positions, labels
 
 
 class TestPositions:
@@ -153,10 +194,26 @@ class TestPlaceLabels:
         assert not anchors[0].box.intersects(anchors[1].box)
 
     def test_every_direction_is_legal(self):
-        positions = {0: (100.0, 100.0)}
+        # each direction is taken when an unlabelled glyph sits on the centre
+        # of every other offset's box
+        x, y = 100.0, 100.0
         for direction in COMPASS:
-            anchors = place_labels(positions, {0: "x"})
-            assert anchors[0].direction in COMPASS
+            positions = {0: (x, y)}
+            for k, other in enumerate(COMPASS, start=1):
+                if other != direction:
+                    box = _direction_box(other, x, y, _CHAR_WIDTH, _LINE_HEIGHT, DEFAULT.glyph_radius)
+                    positions[k] = ((box.x0 + box.x1) / 2, (box.y0 + box.y1) / 2)
+            assert place_labels(positions, {0: "x"})[0].direction == direction
+
+    def test_grid_matches_all_pairs_scan(self):
+        rng = random.Random(5)
+        for _ in range(2000):
+            positions, labels = random_label_input(rng)
+            got = place_labels(positions, labels)
+            want = place_labels_bruteforce(positions, labels)
+            assert [(v, a.direction, astuple(a.box)) for v, a in got.items()] == [
+                (v, a.direction, astuple(a.box)) for v, a in want.items()
+            ]
 
     def test_font_metrics_scale_box(self):
         # 7.2 units per character, 12 units per line
