@@ -12,7 +12,7 @@ Typical use::
     tet.states  # {index: (EmergingState, EvolvingState)}
 """
 
-from .builder import DimensionMismatchError, build_tet, candidate_parents, prune_candidates
+from .builder import DimensionMismatchError, build_tet
 from .ingest import (
     CsvValidationError,
     ValidationIssue,
@@ -34,8 +34,6 @@ from .model import (
     TetEdge,
     ThresholdMode,
     TopicRecord,
-    classify_emerging,
-    classify_evolving,
 )
 from .render import tet_from_json, to_dot, to_json, to_svg
 
@@ -59,14 +57,10 @@ __all__ = [
     "ValidationIssue",
     "ValidationReport",
     "build_tet",
-    "candidate_parents",
-    "classify_emerging",
-    "classify_evolving",
     "compute_layout",
     "parse_profile",
     "parse_tes",
     "profile_to_csv",
-    "prune_candidates",
     "tes_to_csv",
     "tet_from_json",
     "to_dot",

@@ -14,7 +14,9 @@ confluent in ancestor chains, so this canonical order defines the result.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Mapping, Sequence
+from operator import attrgetter
 
 from .model import (
     ROOT_INDEX,
@@ -31,15 +33,6 @@ class DimensionMismatchError(ValueError):
     """Matrix dimension does not match the profile size."""
 
 
-def candidate_key(profile: TemporalTopicProfile, u: int, tes: float) -> tuple[float, int, int]:
-    """Total order on candidates: stronger TES, then later year, then lower index.
-
-    Returned tuples compare ascending; sort with ``reverse=True`` (the index
-    component is negated so that lower indices rank higher).
-    """
-    return (tes, profile.year_of(u), -u)
-
-
 def candidate_parents(
     v: int,
     matrix: TesMatrix,
@@ -52,16 +45,17 @@ def candidate_parents(
     towards `v` passes the ``min_tes`` gate (inclusive or exclusive per
     ``params.threshold_mode``). Ties in TES are broken by later year, then by
     lower index, giving a deterministic total order.
+
+    Topics are sorted by (year, index), so the strictly older ones are a
+    prefix of the profile: only that prefix of `v`'s column is scanned.
     """
+    topics = profile.topics
     v_pos = profile.position_of(v)
-    v_year = profile.year_of(v)
-    out = []
-    for u_pos, tes in enumerate(matrix.columns[v_pos]):
-        u_topic = profile.topics[u_pos]
-        if u_topic.year < v_year and params.admits(tes):
-            out.append((u_topic.index, tes))
-    out.sort(key=lambda item: candidate_key(profile, item[0], item[1]), reverse=True)
-    return out
+    older = bisect_left(topics, topics[v_pos].year, key=attrgetter("year"))
+    column = matrix.columns[v_pos][:older]
+    ranked = [(tes, u.year, -u.index) for u, tes in zip(topics, column) if params.admits(tes)]
+    ranked.sort(reverse=True)
+    return [(-neg_index, tes) for tes, _, neg_index in ranked]
 
 
 def prune_candidates(

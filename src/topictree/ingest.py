@@ -286,8 +286,10 @@ def parse_tes(
 ) -> tuple[TesMatrix, ValidationReport]:
     """Parse a TES matrix CSV against the profile's size and year structure.
 
-    Blank cells are permitted only on/below the diagonal; only the cells
-    above the diagonal are stored (see :class:`TesMatrix`). Raises
+    Each row is read as three ranges: the cells below the diagonal are
+    ignored (with a warning when not blank), the diagonal cell must be blank
+    or 1, and the cells above it must hold a TES; only those are stored (see
+    :class:`TesMatrix`). Issues come row by row, columns ascending. Raises
     :class:`CsvValidationError` on any violation that lenient mode cannot
     coerce.
     """
@@ -316,28 +318,22 @@ def parse_tes(
     # store one float object per distinct text.
     decimals: dict[str, float | None] = {}
     for i, row in enumerate(rows):
-        for j, raw in enumerate(row):
-            cell = raw.strip()
-            rownum, colnum = i + 1, j + 1
-            if j < i:
-                if cell:
-                    report.warning(
-                        rownum, colnum, BELOW_DIAGONAL_IGNORED, "value below the diagonal is ignored"
-                    )
-                continue
-            if j == i:
-                if not cell:
-                    continue
-                value = _parse_decimal(cell)
-                if value is None:
-                    report.error(rownum, colnum, BAD_NUMBER, f"not a plain decimal: {cell!r}")
-                elif abs(value - 1.0) > DIAGONAL_TOLERANCE:
-                    if lenient:
-                        report.warning(rownum, colnum, DIAGONAL_NOT_ONE, f"diagonal entry {value} coerced to 1")
-                    else:
-                        report.error(rownum, colnum, DIAGONAL_NOT_ONE, f"diagonal entry must be 1, got {value}")
-                continue
-            # strictly above the diagonal
+        rownum = i + 1
+        for j in range(i):
+            if row[j].strip():
+                report.warning(rownum, j + 1, BELOW_DIAGONAL_IGNORED, "value below the diagonal is ignored")
+        cell = row[i].strip()  # the diagonal: its column number is rownum
+        value = _parse_decimal(cell) if cell else 1.0
+        if value is None:
+            report.error(rownum, rownum, BAD_NUMBER, f"not a plain decimal: {cell!r}")
+        elif abs(value - 1.0) > DIAGONAL_TOLERANCE:
+            if lenient:
+                report.warning(rownum, rownum, DIAGONAL_NOT_ONE, f"diagonal entry {value} coerced to 1")
+            else:
+                report.error(rownum, rownum, DIAGONAL_NOT_ONE, f"diagonal entry must be 1, got {value}")
+        for j in range(i + 1, n):
+            cell = row[j].strip()
+            colnum = j + 1
             if not cell:
                 report.error(rownum, colnum, BLANK_ABOVE_DIAGONAL, "blank cell above the diagonal")
                 continue

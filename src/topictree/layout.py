@@ -17,8 +17,15 @@ from dataclasses import dataclass, field
 
 from .model import Tet
 
+# Unit step of each compass direction, y growing downwards. A diagonal label
+# clears the glyph's rim at 45 degrees: radius * _DIAG along each axis.
+_OFFSETS = {
+    "N": (0, -1), "NE": (1, -1), "E": (1, 0), "SE": (1, 1),
+    "S": (0, 1), "SW": (-1, 1), "W": (-1, 0), "NW": (-1, -1),
+}
+
 #: Compass directions tried for a label, in scan order.
-COMPASS = ("N", "NE", "E", "SE", "S", "SW", "W", "NW")
+COMPASS = tuple(_OFFSETS)
 
 _DIAG = 0.7071067811865476  # 1/sqrt(2)
 _LABEL_GAP = 3.0
@@ -94,9 +101,6 @@ class Rect:
             return 0.0
         return dx * dy
 
-    def intersects(self, other: "Rect") -> bool:
-        return self.intersection_area(other) > 0.0
-
     @classmethod
     def centered(cls, cx: float, cy: float, w: float, h: float) -> "Rect":
         return cls(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
@@ -160,26 +164,11 @@ def compute_positions(tet: Tet, canvas: CanvasSpec | None = None) -> dict[int, t
 def _direction_box(
     direction: str, x: float, y: float, w: float, h: float, radius: float
 ) -> Rect:
-    gap = _LABEL_GAP
-    r = radius
-    d = radius * _DIAG
-    if direction == "N":
-        return Rect.centered(x, y - r - gap - h / 2, w, h)
-    if direction == "S":
-        return Rect.centered(x, y + r + gap + h / 2, w, h)
-    if direction == "E":
-        return Rect.centered(x + r + gap + w / 2, y, w, h)
-    if direction == "W":
-        return Rect.centered(x - r - gap - w / 2, y, w, h)
-    if direction == "NE":
-        return Rect.centered(x + d + gap + w / 2, y - d - gap - h / 2, w, h)
-    if direction == "SE":
-        return Rect.centered(x + d + gap + w / 2, y + d + gap + h / 2, w, h)
-    if direction == "SW":
-        return Rect.centered(x - d - gap - w / 2, y + d + gap + h / 2, w, h)
-    if direction == "NW":
-        return Rect.centered(x - d - gap - w / 2, y - d - gap - h / 2, w, h)
-    raise ValueError(f"unknown direction {direction!r}")
+    sx, sy = _OFFSETS[direction]
+    r = radius * _DIAG if sx and sy else radius
+    return Rect.centered(
+        x + sx * r + sx * _LABEL_GAP + sx * w / 2, y + sy * r + sy * _LABEL_GAP + sy * h / 2, w, h
+    )
 
 
 def _cells(box: Rect) -> list[tuple[int, int]]:

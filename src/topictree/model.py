@@ -183,6 +183,8 @@ class EvolutionParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.min_tes <= 1.0:
             raise ValueError(f"min_tes must be in [0, 1], got {self.min_tes}")
+        # A float, and 0.0 for -0.0, so equal gates write the same JSON.
+        object.__setattr__(self, "min_tes", self.min_tes + 0.0)
         if self.min_reborn < 0:
             raise ValueError(f"min_reborn must be >= 0, got {self.min_reborn}")
         if self.min_dead < 0:

@@ -211,6 +211,11 @@ def structural_violations(tet, matrix: TesMatrix, params: EvolutionParams) -> li
     return problems
 
 
+def intersects(a: Rect, b: Rect) -> bool:
+    """Whether two boxes overlap with positive area."""
+    return a.intersection_area(b) > 0.0
+
+
 def place_labels_bruteforce(
     positions: dict[int, tuple[float, float]], labels: dict[int, str]
 ) -> dict[int, LabelAnchor]:

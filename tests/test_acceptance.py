@@ -19,6 +19,7 @@ from helpers import (
     ancestor_masks,
     independent_ancestors,
     independent_candidates,
+    intersects,
     oracle_retained,
     random_instance,
     structural_violations,
@@ -184,6 +185,8 @@ PROFILE_CORRUPTIONS = [
     (ingest.EMPTY_WORDS, lambda text: text.replace("\"['opinion', 'computer', 'lab', 'user', 'human']\"", "[]")),
     (ingest.DUPLICATE_ID, lambda text: text.replace("t2,1,", "t1,1,")),
     (ingest.BAD_CHARACTER, lambda text: text.replace("t1,0,A,", "t1,0,A\x01,")),
+    (ingest.EMPTY_ID, lambda text: text.replace("t1,0,A,", ",0,A,")),
+    (ingest.DUPLICATE_HEADER, lambda text: text.replace("year,words", "year,words,year", 1)),
 ]
 
 MATRIX_CORRUPTIONS = [
@@ -346,7 +349,7 @@ def test_criterion_8_label_placement(tet_exclusive):
         (a, b)
         for i, a in enumerate(anchors)
         for b in anchors[i + 1 :]
-        if a.box.intersects(b.box)
+        if intersects(a.box, b.box)
     ]
     assert overlaps == []
     print("ACCEPTANCE 8: PASS - zero overlapping label boxes on the fixture")

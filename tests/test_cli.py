@@ -87,6 +87,25 @@ class TestBuild:
         assert main(build_args(profile, corrupt, "--out", str(out))) == 1
         assert not out.exists()
 
+    def test_negative_zero_min_tes_writes_zero(self, fixture_paths, tmp_path):
+        profile, tes = fixture_paths
+        negative, positive = tmp_path / "negative.json", tmp_path / "positive.json"
+        assert main(build_args(profile, tes, "--min-tes=-0", "--out", str(negative))) == 0
+        assert main(build_args(profile, tes, "--min-tes", "0", "--out", str(positive))) == 0
+        assert negative.read_bytes() == positive.read_bytes()
+
+    def test_failed_rename_leaves_no_files(self, fixture_paths, tmp_path, monkeypatch):
+        profile, tes = fixture_paths
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(build_args(profile, tes, "--out", str(out_dir / "tet.json"))) == 2
+        assert list(out_dir.iterdir()) == []
+
     def test_fifo_target_is_written_not_replaced(self, fixture_paths, tmp_path):
         profile, tes = fixture_paths
         fifo = tmp_path / "out.fifo"
@@ -124,6 +143,7 @@ MALFORMED_TREES = {
     "min-tes-string": (lambda doc: doc["params"].update(min_tes="0.2"), "params.min_tes"),
     "label-control-char": (lambda doc: doc["nodes"][0].update(label="A\x01"), "U+0001"),
     "id-lone-surrogate": (lambda doc: doc["nodes"][0].update(id="t\ud800"), "U+D800"),
+    "edge-unknown-target": (lambda doc: doc["edges"][2].update(to_index=99), "unknown topic index 99"),
 }
 
 

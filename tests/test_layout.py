@@ -5,7 +5,7 @@ from dataclasses import astuple
 
 import pytest
 
-from helpers import place_labels_bruteforce, random_instance
+from helpers import intersects, place_labels_bruteforce, random_instance
 from topictree.builder import build_tet
 from topictree.layout import (
     _CELL,
@@ -184,14 +184,14 @@ class TestPlaceLabels:
         anchors = list(layout.label_anchors.values())
         for i, a in enumerate(anchors):
             for b in anchors[i + 1 :]:
-                assert not a.box.intersects(b.box)
+                assert not intersects(a.box, b.box)
 
     def test_coincident_jittered_nodes_take_different_sides(self):
         tet = flat_tet([rec(0, 2002, 0.4), rec(1, 2002, 0.4)])
         positions = compute_positions(tet)
         anchors = place_labels(positions, {0: "first", 1: "second"})
         assert anchors[0].direction != anchors[1].direction
-        assert not anchors[0].box.intersects(anchors[1].box)
+        assert not intersects(anchors[0].box, anchors[1].box)
 
     def test_every_direction_is_legal(self):
         # each direction is taken when an unlabelled glyph sits on the centre

@@ -113,7 +113,16 @@ class TestEvolutionParams:
         assert inc.admits(0.21) and exc.admits(0.21)
         assert not inc.admits(0.19)
 
-    @pytest.mark.parametrize("kw", [{"min_tes": -0.1}, {"min_tes": 1.1}, {"min_reborn": -1}, {"min_dead": -1}])
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"min_tes": -0.1},
+            {"min_tes": 1.1},
+            {"min_reborn": -1},
+            {"min_dead": -1},
+            {"threshold_mode": "inclusive"},
+        ],
+    )
     def test_bounds(self, kw):
         with pytest.raises(ValueError):
             EvolutionParams(**kw)
