@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .model import (
     ROOT_INDEX,
@@ -47,13 +47,19 @@ def candidate_parents(
     lower index, giving a deterministic total order.
 
     Topics are sorted by (year, index), so the strictly older ones are a
-    prefix of the profile: only that prefix of `v`'s column is scanned.
+    prefix of the profile: only the listed cells of `v`'s column in that
+    prefix are scanned. The unlisted ones hold TES 0 and are added only
+    when the gate admits 0.
     """
     topics = profile.topics
     v_pos = profile.position_of(v)
     older = bisect_left(topics, topics[v_pos].year, key=attrgetter("year"))
-    column = matrix.columns[v_pos][:older]
-    ranked = [(tes, u.year, -u.index) for u, tes in zip(topics, column) if params.admits(tes)]
+    column = matrix.columns[v_pos]
+    listed = column[: bisect_left(column, older, key=itemgetter(0))]
+    ranked = [(tes, topics[i].year, -topics[i].index) for i, tes in listed if params.admits(tes)]
+    if params.admits(0.0):
+        nonzero = {i for i, _ in listed}
+        ranked.extend((0.0, u.year, -u.index) for i, u in enumerate(topics[:older]) if i not in nonzero)
     ranked.sort(reverse=True)
     return [(-neg_index, tes) for tes, _, neg_index in ranked]
 

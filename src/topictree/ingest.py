@@ -15,7 +15,9 @@ from __future__ import annotations
 import csv
 import io
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .model import TemporalTopicProfile, TesMatrix, TopicRecord, non_xml_char
 
@@ -288,10 +290,10 @@ def parse_tes(
 
     Each row is read as three ranges: the cells below the diagonal are
     ignored (with a warning when not blank), the diagonal cell must be blank
-    or 1, and the cells above it must hold a TES; only those are stored (see
-    :class:`TesMatrix`). Issues come row by row, columns ascending. Raises
-    :class:`CsvValidationError` on any violation that lenient mode cannot
-    coerce.
+    or 1, and the cells above it must hold a TES; only the nonzero ones are
+    stored (see :class:`TesMatrix`). Issues come row by row, columns
+    ascending. Raises :class:`CsvValidationError` on any violation that
+    lenient mode cannot coerce.
     """
     report = ValidationReport()
     text = _decode(data, report)
@@ -313,57 +315,109 @@ def parse_tes(
         raise CsvValidationError(report)
 
     years = [topic.year for topic in profile.topics]
-    columns: list[list[float]] = [[] for _ in range(n)]
+    columns: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     # A matrix repeats few cell texts (mostly "0"): parse each once, and
     # store one float object per distinct text.
     decimals: dict[str, float | None] = {}
     for i, row in enumerate(rows):
-        rownum = i + 1
-        for j in range(i):
-            if row[j].strip():
-                report.warning(rownum, j + 1, BELOW_DIAGONAL_IGNORED, "value below the diagonal is ignored")
-        cell = row[i].strip()  # the diagonal: its column number is rownum
-        value = _parse_decimal(cell) if cell else 1.0
-        if value is None:
-            report.error(rownum, rownum, BAD_NUMBER, f"not a plain decimal: {cell!r}")
-        elif abs(value - 1.0) > DIAGONAL_TOLERANCE:
-            if lenient:
-                report.warning(rownum, rownum, DIAGONAL_NOT_ONE, f"diagonal entry {value} coerced to 1")
-            else:
-                report.error(rownum, rownum, DIAGONAL_NOT_ONE, f"diagonal entry must be 1, got {value}")
-        for j in range(i + 1, n):
-            cell = row[j].strip()
-            colnum = j + 1
-            if not cell:
-                report.error(rownum, colnum, BLANK_ABOVE_DIAGONAL, "blank cell above the diagonal")
-                continue
-            if cell not in decimals:
-                decimals[cell] = _parse_decimal(cell)
-            value = decimals[cell]
-            if value is None:
-                report.error(rownum, colnum, BAD_NUMBER, f"not a plain decimal: {cell!r}")
-                continue
-            if not 0.0 <= value <= 1.0:
-                report.error(rownum, colnum, VALUE_OUT_OF_RANGE, f"TES must be in [0, 1], got {value}")
-                continue
-            if years[i] == years[j] and value != 0.0:
-                if not lenient:
-                    report.error(
-                        rownum,
-                        colnum,
-                        CONTEMPORARY_NONZERO,
-                        f"TES between contemporary topics (year {years[i]}) must be 0, got {value}",
-                    )
-                    continue
-                report.warning(
-                    rownum, colnum, CONTEMPORARY_NONZERO, f"contemporary TES {value} coerced to 0"
-                )
-                value = 0.0
-            columns[j].append(value)
+        later = bisect_right(years, years[i])  # the first position of a later year
+        if not _store_clean_row(i, row, later, decimals, columns):
+            _store_checked_row(i, row, years, lenient, decimals, columns, report)
 
     if not report.ok:
         raise CsvValidationError(report)
     return TesMatrix(columns=tuple(tuple(column) for column in columns)), report
+
+
+def _store_clean_row(
+    i: int,
+    row: list[str],
+    later: int,
+    decimals: dict[str, float | None],
+    columns: list[list[tuple[int, float]]],
+) -> bool:
+    """Store row `i`'s nonzero TES if the row raises no issue at all; otherwise store nothing.
+
+    Works on whole slices and on each distinct cell text once, rather than
+    cell by cell: the cells below the diagonal must be blank, the diagonal
+    blank or 1, every text above it a TES, and the contemporary run up to
+    position `later` all zeros. Returns whether the row was stored.
+    """
+    if "".join(row[:i]).strip():
+        return False
+    diagonal = row[i].strip()
+    if diagonal:
+        value = _parse_decimal(diagonal)
+        if value is None or abs(value - 1.0) > DIAGONAL_TOLERANCE:
+            return False
+    nonzero: dict[str, float] = {}
+    for text in set(row[i + 1 :]):
+        cell = text.strip()
+        if cell not in decimals:
+            decimals[cell] = _parse_decimal(cell)
+        value = decimals[cell]
+        if value is None or not 0.0 <= value <= 1.0:
+            return False
+        if value:
+            nonzero[text] = value
+    if not nonzero.keys().isdisjoint(row[i + 1 : later]):
+        return False
+    for j in compress(range(later, len(row)), map(nonzero.__contains__, row[later:])):
+        columns[j].append((i, nonzero[row[j]]))
+    return True
+
+
+def _store_checked_row(
+    i: int,
+    row: list[str],
+    years: list[int],
+    lenient: bool,
+    decimals: dict[str, float | None],
+    columns: list[list[tuple[int, float]]],
+    report: ValidationReport,
+) -> None:
+    """Check row `i` cell by cell, report every issue in column order and store its nonzero TES."""
+    rownum = i + 1
+    for j in range(i):
+        if row[j].strip():
+            report.warning(rownum, j + 1, BELOW_DIAGONAL_IGNORED, "value below the diagonal is ignored")
+    cell = row[i].strip()  # the diagonal: its column number is rownum
+    value = _parse_decimal(cell) if cell else 1.0
+    if value is None:
+        report.error(rownum, rownum, BAD_NUMBER, f"not a plain decimal: {cell!r}")
+    elif abs(value - 1.0) > DIAGONAL_TOLERANCE:
+        if lenient:
+            report.warning(rownum, rownum, DIAGONAL_NOT_ONE, f"diagonal entry {value} coerced to 1")
+        else:
+            report.error(rownum, rownum, DIAGONAL_NOT_ONE, f"diagonal entry must be 1, got {value}")
+    for j in range(i + 1, len(row)):
+        cell = row[j].strip()
+        colnum = j + 1
+        if not cell:
+            report.error(rownum, colnum, BLANK_ABOVE_DIAGONAL, "blank cell above the diagonal")
+            continue
+        if cell not in decimals:
+            decimals[cell] = _parse_decimal(cell)
+        value = decimals[cell]
+        if value is None:
+            report.error(rownum, colnum, BAD_NUMBER, f"not a plain decimal: {cell!r}")
+            continue
+        if not 0.0 <= value <= 1.0:
+            report.error(rownum, colnum, VALUE_OUT_OF_RANGE, f"TES must be in [0, 1], got {value}")
+            continue
+        if years[i] == years[j] and value != 0.0:
+            if not lenient:
+                report.error(
+                    rownum,
+                    colnum,
+                    CONTEMPORARY_NONZERO,
+                    f"TES between contemporary topics (year {years[i]}) must be 0, got {value}",
+                )
+                continue
+            report.warning(rownum, colnum, CONTEMPORARY_NONZERO, f"contemporary TES {value} coerced to 0")
+            continue
+        if value:
+            columns[j].append((i, value))
 
 
 def format_number(value: float) -> str:
@@ -387,10 +441,17 @@ def profile_to_csv(profile: TemporalTopicProfile) -> bytes:
 
 
 def tes_to_csv(matrix: TesMatrix) -> bytes:
-    """Serialize a matrix back to CSV: blanks below the diagonal, 1 on it, TES above."""
+    """Serialize a matrix back to CSV: blanks below the diagonal, 1 on it, TES above (0 where unlisted)."""
+    n = matrix.n
+    listed: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for j, column in enumerate(matrix.columns):
+        for i, tes in column:
+            listed[i].append((j, tes))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    columns = matrix.columns
-    for i in range(matrix.n):
-        writer.writerow([""] * i + ["1"] + [format_number(column[i]) for column in columns[i + 1 :]])
+    for i, cells in enumerate(listed):
+        row = [""] * i + ["1"] + ["0"] * (n - 1 - i)
+        for j, tes in cells:
+            row[j] = format_number(tes)
+        writer.writerow(row)
     return out.getvalue().encode("utf-8")

@@ -141,26 +141,30 @@ class TemporalTopicProfile:
 
 @dataclass(frozen=True)
 class TesMatrix:
-    """Evolution strengths of older topics towards newer ones: the strict upper triangle.
+    """Evolution strengths of older topics towards newer ones, nonzero cells only.
 
-    ``columns[j][i]`` (``i < j``) is the TES of the position-`i` topic
-    towards the position-`j` topic, so column `j` holds exactly `j` values.
-    Positions follow the profile's (year, index) order. Columns are dense:
-    a stored 0 is a strength like any other and passes an inclusive
-    ``min_tes`` of 0.
+    ``columns[j]`` lists the ``(i, tes)`` pairs of column `j`: the TES of the
+    position-`i` topic towards the position-`j` topic, for each ``i < j``
+    whose TES is not 0, with `i` strictly increasing. Every cell that is not
+    listed is 0, so the matrix costs memory in proportion to its nonzero
+    cells. Positions follow the profile's (year, index) order.
     """
 
-    columns: tuple[tuple[float, ...], ...]
+    columns: tuple[tuple[tuple[int, float], ...], ...]
 
     def __post_init__(self) -> None:
         if not self.columns:
             raise ValueError("matrix must hold at least one topic")
         for j, column in enumerate(self.columns):
-            if len(column) != j:
-                raise ValueError(f"column {j} must hold {j} values, got {len(column)}")
-            for i, value in enumerate(column):
-                if not 0.0 <= value <= 1.0:
-                    raise ValueError(f"matrix entry ({i}, {j}) must be in [0, 1], got {value}")
+            previous = -1
+            for i, tes in column:
+                if not (isinstance(i, int) and previous < i < j):
+                    raise ValueError(
+                        f"column {j}: position {i!r} must be an integer above {previous} and below {j}"
+                    )
+                if not 0.0 < tes <= 1.0:
+                    raise ValueError(f"matrix entry ({i}, {j}) must be in (0, 1], got {tes}")
+                previous = i
 
     @property
     def n(self) -> int:

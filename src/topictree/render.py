@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 from .ingest import format_number
 from .layout import CanvasSpec, TetLayout, compute_layout
@@ -369,6 +370,27 @@ def _number(value: object, where: str) -> float:
         raise ValueError(f"{where} is too large, got {value!r}") from None
 
 
+# A JSON string literal (closed or not) or one bracket; strings are skipped whole.
+# Compiled on first use: only a document too deep to parse needs it.
+_JSON_BRACKET = r'"(?:[^"\\]|\\.)*"?|[\[{\]}]'
+
+
+def _deepest_bracket(text: str) -> str:
+    """Line and column of the first ``[`` or ``{`` at the document's greatest nesting depth."""
+    depth = deepest = at = 0
+    for match in re.finditer(_JSON_BRACKET, text, re.DOTALL):
+        bracket = match.group()
+        if bracket in "[{":
+            depth += 1
+            if depth > deepest:
+                deepest, at = depth, match.start()
+        elif bracket in "]}":
+            depth -= 1
+    line = text.count("\n", 0, at) + 1
+    column = at - text.rfind("\n", 0, at)
+    return f"line {line}, column {column}"
+
+
 def tet_from_json(text: str) -> Tet:
     """Parse the JSON document back into a tree; inverse of :func:`to_json`.
 
@@ -380,7 +402,9 @@ def tet_from_json(text: str) -> Tet:
     try:
         doc = json.loads(text)
     except RecursionError:
-        raise ValueError("malformed TET JSON: nested too deeply to parse") from None
+        raise ValueError(
+            f"malformed TET JSON: nested too deeply to parse at {_deepest_bracket(text)}"
+        ) from None
     try:
         raw_params = doc["params"]
         params = EvolutionParams(

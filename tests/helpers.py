@@ -1,8 +1,10 @@
 """Shared test utilities: random instances and independent re-implementations.
 
-The re-implementations here (candidate scan, ancestor closure, brute-force
-antichain oracle) deliberately avoid the library's code paths so they can
-serve as oracles for it. The all-pairs label placement shares the library's
+The re-implementations here (candidate scan over dense columns, ancestor
+closure, brute-force antichain oracle) deliberately avoid the library's code
+paths so they can serve as oracles for it. The TES parser oracle checks cell
+by cell and shares only decoding, CSV reading and number parsing with
+`parse_tes`. The all-pairs label placement shares the library's
 box geometry and tie-breaks and leaves out only its spatial grid.
 """
 
@@ -10,6 +12,8 @@ from __future__ import annotations
 
 import random
 
+from topictree import ingest
+from topictree.ingest import CsvValidationError, ValidationReport
 from topictree.layout import (
     _CHAR_WIDTH,
     _LINE_HEIGHT,
@@ -54,11 +58,11 @@ def random_instance(
     records.sort(key=lambda t: (t.year, t.index))
     profile = TemporalTopicProfile(topics=tuple(records))
 
-    columns: list[list[float]] = [[] for _ in range(n)]
+    columns: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            contemporary = records[i].year == records[j].year
-            columns[j].append(0.0 if contemporary else rng.randint(0, 10) / 10)
+            if records[i].year != records[j].year and (tes := rng.randint(0, 10) / 10):
+                columns[j].append((i, tes))
     matrix = TesMatrix(columns=tuple(tuple(column) for column in columns))
 
     params = EvolutionParams(
@@ -70,16 +74,33 @@ def random_instance(
     return profile, matrix, params
 
 
+def tes_matrix(columns) -> TesMatrix:
+    """The matrix of dense columns: column j holds the TES of positions 0..j-1, zeros included."""
+    for j, column in enumerate(columns):
+        assert len(column) == j, f"column {j} must hold {j} values, got {len(column)}"
+    return TesMatrix(columns=tuple(tuple((i, tes) for i, tes in enumerate(column) if tes) for column in columns))
+
+
+def dense(matrix: TesMatrix) -> list[list[float]]:
+    """The dense columns of a matrix: every cell that is not listed holds 0.0."""
+    columns = [[0.0] * j for j in range(matrix.n)]
+    for j, column in enumerate(matrix.columns):
+        for i, tes in column:
+            columns[j][i] = tes
+    return columns
+
+
 def independent_candidates(
-    profile: TemporalTopicProfile, matrix: TesMatrix, params: EvolutionParams, v: int
+    profile: TemporalTopicProfile, columns: list[list[float]], params: EvolutionParams, v: int
 ) -> list[tuple[int, float]]:
-    """Threshold scan re-implemented from the contract, sorted by the candidate key."""
+    """Threshold scan over every older cell of the dense `columns` (see :func:`dense`),
+    re-implemented from the contract and sorted by the candidate key."""
     v_pos = profile.position_of(v)
     v_year = profile.year_of(v)
     found = []
     for pos, topic in enumerate(profile.topics):
         if topic.year < v_year:
-            tes = matrix.columns[v_pos][pos]
+            tes = columns[v_pos][pos]
             if params.threshold_mode is ThresholdMode.INCLUSIVE:
                 passes = tes >= params.min_tes
             else:
@@ -88,6 +109,79 @@ def independent_candidates(
                 found.append((topic.index, tes))
     found.sort(key=lambda item: (item[1], profile.year_of(item[0]), -item[0]), reverse=True)
     return found
+
+
+def parse_tes_dense(
+    data: bytes, profile: TemporalTopicProfile, lenient: bool = False
+) -> tuple[tuple[tuple[float, ...], ...], ValidationReport]:
+    """Cell-by-cell TES parser oracle: the same checks and issues as `parse_tes`,
+    in the same order, returning dense columns (zeros included) instead of a matrix."""
+    report = ValidationReport()
+    text = ingest._decode(data, report)
+    if text is None:
+        raise CsvValidationError(report)
+    rows = ingest._read_rows(text, report)
+    if rows is None:
+        raise CsvValidationError(report)
+    n = len(profile)
+    if len(rows) != n:
+        report.error(
+            min(len(rows), n) + 1, None, ingest.DIMENSION_MISMATCH, f"expected {n} rows, found {len(rows)}"
+        )
+        raise CsvValidationError(report)
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            report.error(i + 1, None, ingest.DIMENSION_MISMATCH, f"expected {n} columns, found {len(row)}")
+    if not report.ok:
+        raise CsvValidationError(report)
+
+    years = [topic.year for topic in profile.topics]
+    columns: list[list[float]] = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        rownum = i + 1
+        for j in range(i):
+            if row[j].strip():
+                report.warning(rownum, j + 1, ingest.BELOW_DIAGONAL_IGNORED, "value below the diagonal is ignored")
+        cell = row[i].strip()
+        value = ingest._parse_decimal(cell) if cell else 1.0
+        if value is None:
+            report.error(rownum, rownum, ingest.BAD_NUMBER, f"not a plain decimal: {cell!r}")
+        elif abs(value - 1.0) > ingest.DIAGONAL_TOLERANCE:
+            if lenient:
+                report.warning(rownum, rownum, ingest.DIAGONAL_NOT_ONE, f"diagonal entry {value} coerced to 1")
+            else:
+                report.error(rownum, rownum, ingest.DIAGONAL_NOT_ONE, f"diagonal entry must be 1, got {value}")
+        for j in range(i + 1, n):
+            cell = row[j].strip()
+            colnum = j + 1
+            if not cell:
+                report.error(rownum, colnum, ingest.BLANK_ABOVE_DIAGONAL, "blank cell above the diagonal")
+                continue
+            value = ingest._parse_decimal(cell)
+            if value is None:
+                report.error(rownum, colnum, ingest.BAD_NUMBER, f"not a plain decimal: {cell!r}")
+                continue
+            if not 0.0 <= value <= 1.0:
+                report.error(rownum, colnum, ingest.VALUE_OUT_OF_RANGE, f"TES must be in [0, 1], got {value}")
+                continue
+            if years[i] == years[j] and value != 0.0:
+                if not lenient:
+                    report.error(
+                        rownum,
+                        colnum,
+                        ingest.CONTEMPORARY_NONZERO,
+                        f"TES between contemporary topics (year {years[i]}) must be 0, got {value}",
+                    )
+                    continue
+                report.warning(
+                    rownum, colnum, ingest.CONTEMPORARY_NONZERO, f"contemporary TES {value} coerced to 0"
+                )
+                value = 0.0
+            columns[j].append(value)
+
+    if not report.ok:
+        raise CsvValidationError(report)
+    return tuple(tuple(column) for column in columns), report
 
 
 def independent_ancestors(edge_pairs: set[tuple[int, int]], u: int) -> set[int]:
@@ -166,6 +260,7 @@ def structural_violations(tet, matrix: TesMatrix, params: EvolutionParams) -> li
     """Independent audit of a built tree: year ordering, rootedness, antichain
     parents, justified pruning and TES/matrix agreement. Empty list = clean."""
     profile = tet.profile
+    columns = dense(matrix)
     problems: list[str] = []
     pairs = {(e.from_index, e.to_index) for e in tet.edges}
     parents: dict[int, list[int]] = {t.index: [] for t in profile.topics}
@@ -174,7 +269,7 @@ def structural_violations(tet, matrix: TesMatrix, params: EvolutionParams) -> li
             parents[e.to_index].append(e.from_index)
             if profile.year_of(e.from_index) >= profile.year_of(e.to_index):
                 problems.append(f"edge {e.from_index}->{e.to_index} does not advance in time")
-            expected = matrix.columns[profile.position_of(e.to_index)][profile.position_of(e.from_index)]
+            expected = columns[profile.position_of(e.to_index)][profile.position_of(e.from_index)]
             if e.tes != expected:
                 problems.append(f"edge {e.from_index}->{e.to_index} carries tes {e.tes} != matrix {expected}")
 
@@ -191,7 +286,7 @@ def structural_violations(tet, matrix: TesMatrix, params: EvolutionParams) -> li
                 if a in anc[b] or b in anc[a]:
                     problems.append(f"topic {v}: parents {a} and {b} are ancestor-related")
 
-        candidates = independent_candidates(profile, matrix, params, v)
+        candidates = independent_candidates(profile, columns, params, v)
         retained = set(parents[v])
         if not retained.issubset({u for u, _ in candidates}):
             problems.append(f"topic {v}: parent outside the candidate set")

@@ -17,24 +17,26 @@ import pytest
 from dot_checker import check_dot
 from helpers import (
     ancestor_masks,
+    dense,
     independent_ancestors,
     independent_candidates,
     intersects,
     oracle_retained,
+    parse_tes_dense,
     random_instance,
     structural_violations,
+    tes_matrix,
 )
 from topictree import ingest
 from topictree.builder import build_tet, candidate_parents, prune_candidates
 from topictree.cli import main
-from topictree.ingest import CsvValidationError, parse_profile, parse_tes
+from topictree.ingest import CsvValidationError, parse_profile, parse_tes, tes_to_csv
 from topictree.layout import compute_layout
 from topictree.model import (
     EmergingState,
     EvolutionParams,
     EvolvingState,
     TemporalTopicProfile,
-    TesMatrix,
     TetEdge,
     TopicRecord,
 )
@@ -93,7 +95,7 @@ def test_criterion_3_pruning_oracle():
         profile, matrix, params = random_instance(rng, max_n=12)
         edges = []
         for topic in profile.topics:
-            cands = independent_candidates(profile, matrix, params, topic.index)
+            cands = independent_candidates(profile, dense(matrix), params, topic.index)
             assert cands == candidate_parents(topic.index, matrix, profile, params)
             pairs = {(e.from_index, e.to_index) for e in edges}
             anc = {u: independent_ancestors(pairs, u) for u, _ in cands}
@@ -149,7 +151,7 @@ def test_criterion_5_classification_properties():
             TopicRecord(id="new", index=1, weight=0.5, year=2000 + gap, words=("w",)),
         )
         profile = TemporalTopicProfile(topics=topics)
-        matrix = TesMatrix(columns=((), (0.9,)))
+        matrix = tes_matrix(((), (0.9,)))
         params = EvolutionParams(min_reborn=min_reborn, min_dead=min_dead)
         return build_tet(profile, matrix, params)
 
@@ -164,7 +166,7 @@ def test_criterion_5_classification_properties():
             TopicRecord(id="new", index=1, weight=0.5, year=2000 + gap, words=("w",)),
         )
         profile = TemporalTopicProfile(topics=topics)
-        matrix = TesMatrix(columns=((), (0.0,)))  # no edge: both childless
+        matrix = tes_matrix(((), (0.0,)))  # no edge: both childless
         params = EvolutionParams(min_dead=min_dead)
         return build_tet(profile, matrix, params)
 
@@ -269,6 +271,61 @@ def test_criterion_6_ingestion(profile_csv, tes_csv, fixture_profile):
                     assert issue.code and issue.message
                     assert issue.row is not None or issue.column is not None
     print(f"ACCEPTANCE 6: PASS - fixtures parse, 13 error codes triggered, {runs}-input fuzz clean")
+
+
+def _parse_outcome(parse, data: bytes, profile, lenient: bool):
+    """(matrix or None, errors, warnings) of one parse; `parse_tes_dense`'s columns become a matrix."""
+    try:
+        matrix, report = parse(data, profile, lenient=lenient)
+    except CsvValidationError as exc:
+        return None, exc.report.errors, exc.report.warnings
+    if parse is parse_tes_dense:
+        matrix = tes_matrix(matrix)
+    return matrix, report.errors, report.warnings
+
+
+#: Cell texts a mutation writes: zero spellings, padded and bad numbers, blanks.
+CELL_TEXTS = ("0", "0.0", " 0 ", "-0", "0.", "\t0.5", "0.3 ", "1", " 1.0", "x", "1.5", "", "  ", "1e-1")
+
+
+def _mutate_cells(rng: random.Random, profile, matrix) -> bytes:
+    """The CSV of `matrix` with one to four cells rewritten: padded with
+    whitespace, spelled differently, made non-blank below the diagonal,
+    nonzero between contemporaries or blank above the diagonal."""
+    rows = [line.split(",") for line in tes_to_csv(matrix).decode().splitlines()]
+    n = len(rows)
+    years = [t.year for t in profile.topics]
+    for _ in range(rng.randint(1, 4)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        kind = rng.randrange(4)
+        if kind == 0:
+            rows[i][j] = " " * rng.randint(0, 2) + rows[i][j] + "\t" * rng.randint(0, 1)
+        elif kind == 1 and j > i and years[i] == years[j]:
+            rows[i][j] = rng.choice(("0.3", "1", " 0.0 ", "-0"))
+        else:
+            rows[i][j] = rng.choice(CELL_TEXTS)
+    return "".join(",".join(row) + "\n" for row in rows).encode()
+
+
+def test_parse_tes_matches_cell_by_cell_oracle(profile_csv, tes_csv, fixture_profile):
+    rng = random.Random(660066)  # the same input stream as test_criterion_6_ingestion
+    runs = 10_000
+    for _ in range(runs):
+        data = _fuzz_input(rng, profile_csv, tes_csv)
+        rng.random()
+        for lenient in (False, True):
+            expected = _parse_outcome(parse_tes_dense, data, fixture_profile, lenient)
+            assert _parse_outcome(parse_tes, data, fixture_profile, lenient) == expected
+
+    rng = random.Random(7007)
+    instances = 2000
+    for _ in range(instances):
+        profile, matrix, _ = random_instance(rng, max_n=16)
+        data = _mutate_cells(rng, profile, matrix)
+        for lenient in (False, True):
+            expected = _parse_outcome(parse_tes_dense, data, profile, lenient)
+            assert _parse_outcome(parse_tes, data, profile, lenient) == expected
+    print(f"ACCEPTANCE 6: PASS - parse_tes equals the cell-by-cell oracle on {runs} + {instances} inputs")
 
 
 #: Values a tree-document mutation puts in place of a leaf or subtree.

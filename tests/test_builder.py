@@ -1,14 +1,17 @@
+import math
 import random
 
 import pytest
 
 from helpers import (
     ancestor_masks,
+    dense,
     independent_ancestors,
     independent_candidates,
     oracle_retained,
     random_instance,
     structural_violations,
+    tes_matrix,
 )
 from topictree.builder import (
     DimensionMismatchError,
@@ -16,6 +19,7 @@ from topictree.builder import (
     candidate_parents,
     prune_candidates,
 )
+from topictree.ingest import parse_tes
 from topictree.model import (
     ROOT_INDEX,
     EvolutionParams,
@@ -51,7 +55,7 @@ def matrix_from(profile: TemporalTopicProfile, tes: dict[tuple[int, int], float]
     columns = [[0.0] * j for j in range(len(profile))]
     for (u, v), value in tes.items():
         columns[profile.position_of(v)][profile.position_of(u)] = value
-    return TesMatrix(columns=tuple(tuple(column) for column in columns))
+    return tes_matrix(columns)
 
 
 class TestCandidateParents:
@@ -95,6 +99,60 @@ class TestCandidateParents:
         matrix = matrix_from(profile, {(0, 2): 0.5, (1, 2): 0.5})
         cands = candidate_parents(2, matrix, profile, EvolutionParams(min_tes=0.2))
         assert cands == [(0, 0.5), (1, 0.5)]
+
+
+class TestImplicitZero:
+    def test_candidates_match_dense_scan(self):
+        # unlisted cells are TES 0: they must enter exactly when a dense scan admits them
+        zero_gates = (
+            EvolutionParams(min_tes=0.0, threshold_mode=ThresholdMode.INCLUSIVE),
+            EvolutionParams(min_tes=0.0, threshold_mode=ThresholdMode.EXCLUSIVE),
+        )
+        rng = random.Random(3003)
+        for _ in range(300):
+            profile, matrix, params = random_instance(rng, max_n=30)
+            columns = dense(matrix)
+            for gate in (params, *zero_gates):
+                for topic in profile.topics:
+                    expected = independent_candidates(profile, columns, gate, topic.index)
+                    assert candidate_parents(topic.index, matrix, profile, gate) == expected
+
+    def test_negative_zero_cell_is_unlisted(self):
+        # "-0" parses to -0.0, which is a zero like "0": the edge the zero gate admits carries +0.0
+        profile = mini_profile([2001, 2002])
+        matrix, _ = parse_tes(b"1,-0\n,1\n", profile)
+        assert matrix.columns == ((), ())
+        tet = build_tet(profile, matrix, EvolutionParams(min_tes=0.0))
+        assert [math.copysign(1.0, e.tes) for e in tet.edges if not e.is_root_edge] == [1.0]
+
+    def test_scan_gates_listed_cells_only(self, monkeypatch):
+        n, nnz = 700, 500
+        profile = mini_profile([2000 + v // 10 for v in range(n)])  # 70 years of 10 topics
+        rng = random.Random(700)
+        tes: dict[tuple[int, int], float] = {}
+        while len(tes) < nnz:
+            u, v = sorted(rng.sample(range(n), 2))
+            if profile.year_of(u) < profile.year_of(v):
+                tes[u, v] = rng.randint(1, 10) / 10
+        matrix = matrix_from(profile, tes)
+        params = EvolutionParams()
+        calls = 0
+        admits = EvolutionParams.admits
+
+        def counting_admits(self, value):
+            nonlocal calls
+            calls += 1
+            return admits(self, value)
+
+        monkeypatch.setattr(EvolutionParams, "admits", counting_admits)
+        for topic in profile.topics:
+            candidate_parents(topic.index, matrix, profile, params)
+        # once per listed cell, plus once per topic for the implicit zero
+        assert calls <= nnz + n
+        calls = 0
+        tet = build_tet(profile, matrix, params)
+        # `Tet` validation gates each edge once more
+        assert calls <= nnz + n + sum(not e.is_root_edge for e in tet.edges)
 
 
 def ancestors(edges, u):
@@ -180,7 +238,7 @@ class TestBuildTet:
         assert tet.edges == (TetEdge(ROOT_INDEX, 0, 1.0),)
 
     def test_dimension_mismatch(self, fixture_profile):
-        matrix = TesMatrix(columns=((), (0.5,)))
+        matrix = tes_matrix(((), (0.5,)))
         with pytest.raises(DimensionMismatchError):
             build_tet(fixture_profile, matrix, EvolutionParams())
 
@@ -202,7 +260,7 @@ class TestBuildTet:
             profile, matrix, params = random_instance(rng)
             edges = []
             for topic in profile.topics:
-                cands = independent_candidates(profile, matrix, params, topic.index)
+                cands = independent_candidates(profile, dense(matrix), params, topic.index)
                 assert cands == candidate_parents(topic.index, matrix, profile, params)
                 pairs = {(e.from_index, e.to_index) for e in edges}
                 anc = {u: independent_ancestors(pairs, u) for u, _ in cands}

@@ -125,7 +125,10 @@ class TestBuild:
 #: Tree documents that must be rejected: mutation of the fixture document (or
 #: replacement text) and a fragment the error message must contain.
 MALFORMED_TREES = {
-    "deep-nesting": (lambda doc: "[" * 100_000 + "]" * 100_000, "nested too deeply"),
+    "deep-nesting": (
+        lambda doc: "[" * 100_000 + "]" * 100_000,
+        "nested too deeply to parse at line 1, column 100000",
+    ),
     "words-string": (lambda doc: doc["nodes"][0].update(words="abc"), "nodes[0].words"),
     "words-non-string": (lambda doc: doc["nodes"][0].update(words=["a", 3]), "nodes[0].words"),
     "index-bool": (lambda doc: doc["nodes"][1].update(index=True), "nodes[1].index"),

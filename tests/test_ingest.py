@@ -1,5 +1,9 @@
+import hashlib
+import random
+
 import pytest
 
+from helpers import random_instance
 from topictree import ingest
 from topictree.ingest import (
     CsvValidationError,
@@ -160,10 +164,9 @@ class TestParseTes:
         matrix, report = parse_tes(tes_csv, fixture_profile)
         assert matrix.n == 11
         a, b, d, e, f = 0, 1, 3, 4, 5
-        assert matrix.columns[f][a] == 0.9
-        assert matrix.columns[d][b] == 0.5
-        assert matrix.columns[f][e] == 0.2
-        assert [len(column) for column in matrix.columns] == list(range(11))
+        assert matrix.columns[f] == ((a, 0.9), (1, 0.1), (2, 0.1), (d, 0.9), (e, 0.2))
+        assert matrix.columns[d] == ((a, 0.1), (b, 0.5))
+        assert [len(column) for column in matrix.columns] == [0, 0, 2, 2, 2, 5, 5, 7, 7, 9, 9]
         assert not report.errors and not report.warnings
 
     def test_dimension_mismatch_row_count(self, tes_csv, fixture_profile):
@@ -197,7 +200,7 @@ class TestParseTes:
     def test_contemporary_nonzero_lenient_coerces(self, fixture_profile, fixture_matrix, tes_csv):
         corrupted = tes_csv.replace(b"1,0,", b"1,0.3,", 1)
         matrix, report = parse_tes(corrupted, fixture_profile, lenient=True)
-        assert matrix.columns[1][0] == 0.0
+        assert matrix.columns[1] == ()
         assert matrix == fixture_matrix
         assert [w.code for w in report.warnings] == [ingest.CONTEMPORARY_NONZERO]
 
@@ -254,13 +257,32 @@ class TestParseTes:
         assert again == fixture_matrix
         assert not report.warnings
 
+    def test_round_trip_random_instances(self):
+        # The digest pins the CSV bytes of these 200 instances as written
+        # when columns were stored dense, zeros included.
+        rng = random.Random(2121)
+        digest = hashlib.sha256()
+        for _ in range(200):
+            profile, matrix, _ = random_instance(rng, max_n=30)
+            data = tes_to_csv(matrix)
+            digest.update(data)
+            again, report = parse_tes(data, profile)
+            assert again == matrix
+            assert not report.warnings
+        assert digest.hexdigest() == "7493ec9b030cbb73856004bdcb7dae11a9b7dd2e10a562351546ca51933b5eb5"
+
     def test_blank_diagonal_defaults_to_one(self, fixture_profile, fixture_matrix, tes_csv):
         softened = tes_csv.replace(b"1,0,", b",0,", 1)
         matrix, _ = parse_tes(softened, fixture_profile)
         assert matrix == fixture_matrix
 
     def test_repeated_cell_text_stored_once(self, fixture_profile):
-        n = len(fixture_profile)
-        rows = ([""] * i + ["1"] + ["0"] * (n - 1 - i) for i in range(n))
+        years = [t.year for t in fixture_profile.topics]
+        n = len(years)
+        rows = (
+            [""] * i + ["1"] + ["0.5" if years[j] > years[i] else "0" for j in range(i + 1, n)]
+            for i in range(n)
+        )
         matrix, _ = parse_tes("".join(",".join(row) + "\n" for row in rows).encode(), fixture_profile)
-        assert len({id(v) for column in matrix.columns for v in column}) == 1
+        stored = [tes for column in matrix.columns for _, tes in column]
+        assert len(stored) > n and len({id(tes) for tes in stored}) == 1

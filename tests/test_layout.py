@@ -5,7 +5,7 @@ from dataclasses import astuple
 
 import pytest
 
-from helpers import intersects, place_labels_bruteforce, random_instance
+from helpers import dense, intersects, place_labels_bruteforce, random_instance, tes_matrix
 from topictree.builder import build_tet
 from topictree.layout import (
     _CELL,
@@ -24,7 +24,6 @@ from topictree.model import (
     EvolutionParams,
     EvolvingState,
     TemporalTopicProfile,
-    TesMatrix,
     TopicRecord,
 )
 from topictree.render import EMERGING_FILL, EVOLVING_FILL, tes_bin, to_svg
@@ -38,7 +37,7 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 def flat_tet(records):
     profile = TemporalTopicProfile(topics=tuple(records))
     columns = tuple((0.0,) * j for j in range(len(profile)))
-    return build_tet(profile, TesMatrix(columns=columns), EvolutionParams())
+    return build_tet(profile, tes_matrix(columns), EvolutionParams())
 
 
 def rec(index, year, weight, **kw):
@@ -251,7 +250,7 @@ class TestComputeLayout:
         non_root = [e for e in tet_exclusive.edges if not e.is_root_edge]
         assert len(strokes) == len(non_root)
         for e in non_root:
-            entry = fixture_matrix.columns[fixture_profile.position_of(e.to_index)][
+            entry = dense(fixture_matrix)[fixture_profile.position_of(e.to_index)][
                 fixture_profile.position_of(e.from_index)
             ]
             assert strokes[f"edge-{e.from_index}-{e.to_index}"] == tes_bin(entry)[1]

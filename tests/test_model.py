@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import dense, tes_matrix
 from topictree.model import (
     ROOT_INDEX,
     EvolutionParams,
@@ -85,19 +86,42 @@ class TestTesMatrix:
     def test_shape_enforced(self):
         with pytest.raises(ValueError, match="at least one"):
             TesMatrix(columns=())
-        for columns in (((), ()), ((0.5,),), ((), (0.5, 0.5))):
-            with pytest.raises(ValueError, match="must hold"):
+        assert TesMatrix(columns=((), ())).n == 2  # no listed cell: every TES is 0
+        for columns in (
+            (((0, 0.5),),),  # position 0 in column 0
+            ((), ((1, 0.5),)),  # position == j
+            ((), (), ((3, 0.5),)),  # position > j
+            ((), (), ((-1, 0.5),)),
+            ((), (), ((0.5, 0.5),)),
+        ):
+            with pytest.raises(ValueError, match="below"):
                 TesMatrix(columns=columns)
 
+    def test_positions_strictly_increase(self):
+        for column in (((1, 0.5), (1, 0.4)), ((1, 0.5), (0, 0.4))):
+            with pytest.raises(ValueError, match="above 1"):
+                TesMatrix(columns=((), (), column))
+        TesMatrix(columns=((), (), ((0, 0.5), (1, 0.4))))
+
     def test_range_enforced(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            TesMatrix(columns=((), (1.5,)))
+        for tes in (1.5, 1.0000001):
+            with pytest.raises(ValueError, match=r"\(0, 1\]"):
+                TesMatrix(columns=((), ((0, tes),)))
+        TesMatrix(columns=((), ((0, 1.0),)))
+
+    def test_stored_zero_rejected(self):
+        # an unlisted cell is the one spelling of 0
+        for tes in (0.0, -0.0, -0.5):
+            with pytest.raises(ValueError, match=r"\(0, 1\]"):
+                TesMatrix(columns=((), ((0, tes),)))
 
     def test_columns_accessor(self):
-        m = TesMatrix(columns=((), (0.7,), (0.0, 0.4)))
+        m = TesMatrix(columns=((), ((0, 0.7),), ((1, 0.4),)))
         assert m.n == 3
-        assert m.columns[1][0] == 0.7
-        assert m.columns[2] == (0.0, 0.4)
+        assert m.columns[1] == ((0, 0.7),)
+        assert m.columns[2] == ((1, 0.4),)
+        assert m == tes_matrix(((), (0.7,), (0.0, 0.4)))
+        assert dense(m) == [[], [0.7], [0.0, 0.4]]
 
 
 class TestEvolutionParams:

@@ -5,11 +5,11 @@ import pyparsing
 import pytest
 
 from dot_checker import check_dot
+from helpers import tes_matrix
 from topictree.builder import build_tet
 from topictree.model import (
     EvolutionParams,
     TemporalTopicProfile,
-    TesMatrix,
     TopicRecord,
 )
 from topictree.render import tet_from_json, to_dot, to_json, to_svg
@@ -41,7 +41,7 @@ def tiny_tet(n_topics=3, year=2001):
     )
     profile = TemporalTopicProfile(topics=topics)
     columns = tuple((0.0,) * j for j in range(n_topics))
-    return build_tet(profile, TesMatrix(columns=columns), EvolutionParams())
+    return build_tet(profile, tes_matrix(columns), EvolutionParams())
 
 
 class TestSvg:
@@ -85,7 +85,7 @@ class TestSvg:
             TopicRecord(id="a<b>&c", index=0, weight=0.5, year=2001, words=("w",)),
         )
         profile = TemporalTopicProfile(topics=topics)
-        tet = build_tet(profile, TesMatrix(columns=((),)), EvolutionParams())
+        tet = build_tet(profile, tes_matrix(((),)), EvolutionParams())
         root = svg_root(to_svg(tet))  # would raise on ill-formed XML
         assert "a<b>&c" in all_text(root)
 
@@ -117,7 +117,7 @@ class TestDot:
             TopicRecord(id='say "hi"', index=0, weight=0.5, year=2001, words=("w",)),
         )
         profile = TemporalTopicProfile(topics=topics)
-        tet = build_tet(profile, TesMatrix(columns=((),)), EvolutionParams())
+        tet = build_tet(profile, tes_matrix(((),)), EvolutionParams())
         check_dot(to_dot(tet))
 
     def test_checker_rejects_malformed(self):

@@ -1,13 +1,12 @@
 import random
 
-from helpers import random_instance
+from helpers import random_instance, tes_matrix
 from topictree.builder import build_tet
 from topictree.model import (
     EmergingState,
     EvolutionParams,
     EvolvingState,
     TemporalTopicProfile,
-    TesMatrix,
     TopicRecord,
     classify_emerging,
     classify_evolving,
@@ -30,7 +29,7 @@ def two_topic_tet(year_a, year_b, tes, params):
         TopicRecord(id="y", index=1, weight=0.5, year=year_b, words=("w",)),
     )
     profile = TemporalTopicProfile(topics=topics)
-    matrix = TesMatrix(columns=((), (tes,)))
+    matrix = tes_matrix(((), (tes,)))
     return build_tet(profile, matrix, params)
 
 
@@ -53,7 +52,7 @@ class TestEmerging:
             TopicRecord(id="c", index=2, weight=0.5, year=2009, words=("w",)),
         )
         profile = TemporalTopicProfile(topics=topics)
-        matrix = TesMatrix(columns=((), (0.0,), (0.9, 0.9)))
+        matrix = tes_matrix(((), (0.0,), (0.9, 0.9)))
         tet = build_tet(profile, matrix, EvolutionParams(min_reborn=2))
         assert classify_emerging(tet, 2) is FUSED
 
@@ -97,7 +96,7 @@ class TestClassifyAll:
     def test_single_topic(self):
         topics = (TopicRecord(id="x", index=0, weight=0.5, year=2001, words=("w",)),)
         profile = TemporalTopicProfile(topics=topics)
-        matrix = TesMatrix(columns=((),))
+        matrix = tes_matrix(((),))
         tet = build_tet(profile, matrix, EvolutionParams())
         assert tet.states == {0: (BORN, EV_FLOURISHING)}
 
