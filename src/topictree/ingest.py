@@ -140,8 +140,12 @@ def _parse_decimal(cell: str) -> float | None:
 
 
 def _parse_int(cell: str) -> int | None:
+    """Plain integer or None; None also for one longer than ``int()`` accepts."""
     if _PLAIN_INT.fullmatch(cell):
-        return int(cell)
+        try:
+            return int(cell)
+        except ValueError:
+            return None
     return None
 
 
@@ -288,12 +292,16 @@ def parse_tes(
 ) -> tuple[TesMatrix, ValidationReport]:
     """Parse a TES matrix CSV against the profile's size and year structure.
 
-    Each row is read as three ranges: the cells below the diagonal are
-    ignored (with a warning when not blank), the diagonal cell must be blank
-    or 1, and the cells above it must hold a TES; only the nonzero ones are
-    stored (see :class:`TesMatrix`). Issues come row by row, columns
-    ascending. Raises :class:`CsvValidationError` on any violation that
-    lenient mode cannot coerce.
+    Each row is walked once as three ranges. The cells below the diagonal
+    are ignored, with a warning for each one that is not blank; the diagonal
+    cell must be blank or 1; the cells above it must hold a TES in [0, 1],
+    and 0 between contemporary topics. Only the nonzero TES are stored (see
+    :class:`TesMatrix`). A range is checked as a whole first (one join below
+    the diagonal, each distinct text above it once, the contemporary cells
+    as one slice) and walked cell by cell only when that check fails, so
+    issues come row by row, columns ascending. Raises
+    :class:`CsvValidationError` on any violation that lenient mode cannot
+    coerce.
     """
     report = ValidationReport()
     text = _decode(data, report)
@@ -316,108 +324,67 @@ def parse_tes(
 
     years = [topic.year for topic in profile.topics]
     columns: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    # A matrix repeats few cell texts (mostly "0"): parse each once, and
+    # A matrix repeats few cell texts (mostly "0"): check each once, and
     # store one float object per distinct text.
-    decimals: dict[str, float | None] = {}
+    checked: dict[str, float | tuple[str, str]] = {}
     for i, row in enumerate(rows):
+        rownum = i + 1
+        if "".join(row[:i]).strip():
+            for j in range(i):
+                if row[j].strip():
+                    report.warning(rownum, j + 1, BELOW_DIAGONAL_IGNORED, "value below the diagonal is ignored")
+        cell = row[i].strip()  # the diagonal: its column number is rownum
+        value = _parse_decimal(cell) if cell else 1.0
+        if value is None:
+            report.error(rownum, rownum, BAD_NUMBER, f"not a plain decimal: {cell!r}")
+        elif abs(value - 1.0) > DIAGONAL_TOLERANCE:
+            if lenient:
+                report.warning(rownum, rownum, DIAGONAL_NOT_ONE, f"diagonal entry {value} coerced to 1")
+            else:
+                report.error(rownum, rownum, DIAGONAL_NOT_ONE, f"diagonal entry must be 1, got {value}")
         later = bisect_right(years, years[i])  # the first position of a later year
-        if not _store_clean_row(i, row, later, decimals, columns):
-            _store_checked_row(i, row, years, lenient, decimals, columns, report)
+        texts = set(row[i + 1 :])
+        for text in texts.difference(checked):
+            checked[text] = _check_tes(text.strip())
+        # Above the diagonal, a range whose texts are all TES and whose
+        # contemporary cells are all 0 is stored whole: only its nonzero cells.
+        all_tes = all(isinstance(checked[text], float) for text in texts)
+        if all_tes and not any(map(checked.get, row[i + 1 : later])):
+            for j in compress(range(later, n), map(checked.get, row[later:])):
+                columns[j].append((i, checked[row[j]]))
+            continue
+        for j in range(i + 1, n):
+            value = checked[row[j]]
+            if isinstance(value, tuple):
+                report.error(rownum, j + 1, *value)
+            elif value and j < later:  # a nonzero TES between contemporary topics
+                if lenient:
+                    report.warning(rownum, j + 1, CONTEMPORARY_NONZERO, f"contemporary TES {value} coerced to 0")
+                else:
+                    report.error(
+                        rownum,
+                        j + 1,
+                        CONTEMPORARY_NONZERO,
+                        f"TES between contemporary topics (year {years[i]}) must be 0, got {value}",
+                    )
+            elif value:
+                columns[j].append((i, value))
 
     if not report.ok:
         raise CsvValidationError(report)
     return TesMatrix(columns=tuple(tuple(column) for column in columns)), report
 
 
-def _store_clean_row(
-    i: int,
-    row: list[str],
-    later: int,
-    decimals: dict[str, float | None],
-    columns: list[list[tuple[int, float]]],
-) -> bool:
-    """Store row `i`'s nonzero TES if the row raises no issue at all; otherwise store nothing.
-
-    Works on whole slices and on each distinct cell text once, rather than
-    cell by cell: the cells below the diagonal must be blank, the diagonal
-    blank or 1, every text above it a TES, and the contemporary run up to
-    position `later` all zeros. Returns whether the row was stored.
-    """
-    if "".join(row[:i]).strip():
-        return False
-    diagonal = row[i].strip()
-    if diagonal:
-        value = _parse_decimal(diagonal)
-        if value is None or abs(value - 1.0) > DIAGONAL_TOLERANCE:
-            return False
-    nonzero: dict[str, float] = {}
-    for text in set(row[i + 1 :]):
-        cell = text.strip()
-        if cell not in decimals:
-            decimals[cell] = _parse_decimal(cell)
-        value = decimals[cell]
-        if value is None or not 0.0 <= value <= 1.0:
-            return False
-        if value:
-            nonzero[text] = value
-    if not nonzero.keys().isdisjoint(row[i + 1 : later]):
-        return False
-    for j in compress(range(later, len(row)), map(nonzero.__contains__, row[later:])):
-        columns[j].append((i, nonzero[row[j]]))
-    return True
-
-
-def _store_checked_row(
-    i: int,
-    row: list[str],
-    years: list[int],
-    lenient: bool,
-    decimals: dict[str, float | None],
-    columns: list[list[tuple[int, float]]],
-    report: ValidationReport,
-) -> None:
-    """Check row `i` cell by cell, report every issue in column order and store its nonzero TES."""
-    rownum = i + 1
-    for j in range(i):
-        if row[j].strip():
-            report.warning(rownum, j + 1, BELOW_DIAGONAL_IGNORED, "value below the diagonal is ignored")
-    cell = row[i].strip()  # the diagonal: its column number is rownum
-    value = _parse_decimal(cell) if cell else 1.0
+def _check_tes(cell: str) -> float | tuple[str, str]:
+    """The TES a stripped cell above the diagonal holds, or the code and message of its issue."""
+    if not cell:
+        return BLANK_ABOVE_DIAGONAL, "blank cell above the diagonal"
+    value = _parse_decimal(cell)
     if value is None:
-        report.error(rownum, rownum, BAD_NUMBER, f"not a plain decimal: {cell!r}")
-    elif abs(value - 1.0) > DIAGONAL_TOLERANCE:
-        if lenient:
-            report.warning(rownum, rownum, DIAGONAL_NOT_ONE, f"diagonal entry {value} coerced to 1")
-        else:
-            report.error(rownum, rownum, DIAGONAL_NOT_ONE, f"diagonal entry must be 1, got {value}")
-    for j in range(i + 1, len(row)):
-        cell = row[j].strip()
-        colnum = j + 1
-        if not cell:
-            report.error(rownum, colnum, BLANK_ABOVE_DIAGONAL, "blank cell above the diagonal")
-            continue
-        if cell not in decimals:
-            decimals[cell] = _parse_decimal(cell)
-        value = decimals[cell]
-        if value is None:
-            report.error(rownum, colnum, BAD_NUMBER, f"not a plain decimal: {cell!r}")
-            continue
-        if not 0.0 <= value <= 1.0:
-            report.error(rownum, colnum, VALUE_OUT_OF_RANGE, f"TES must be in [0, 1], got {value}")
-            continue
-        if years[i] == years[j] and value != 0.0:
-            if not lenient:
-                report.error(
-                    rownum,
-                    colnum,
-                    CONTEMPORARY_NONZERO,
-                    f"TES between contemporary topics (year {years[i]}) must be 0, got {value}",
-                )
-                continue
-            report.warning(rownum, colnum, CONTEMPORARY_NONZERO, f"contemporary TES {value} coerced to 0")
-            continue
-        if value:
-            columns[j].append((i, value))
+        return BAD_NUMBER, f"not a plain decimal: {cell!r}"
+    if not 0.0 <= value <= 1.0:
+        return VALUE_OUT_OF_RANGE, f"TES must be in [0, 1], got {value}"
+    return value
 
 
 def format_number(value: float) -> str:

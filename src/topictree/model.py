@@ -71,6 +71,8 @@ class TopicRecord:
             raise ValueError(f"topic {self.id!r}: index must be >= 0, got {self.index}")
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError(f"topic {self.id!r}: weight must be in [0, 1], got {self.weight}")
+        # A float, and 0.0 for -0.0, so equal weights write the same JSON.
+        object.__setattr__(self, "weight", self.weight + 0.0)
         if not self.words:
             raise ValueError(f"topic {self.id!r}: words must be non-empty")
 

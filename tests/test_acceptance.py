@@ -189,6 +189,9 @@ PROFILE_CORRUPTIONS = [
     (ingest.BAD_CHARACTER, lambda text: text.replace("t1,0,A,", "t1,0,A\x01,")),
     (ingest.EMPTY_ID, lambda text: text.replace("t1,0,A,", ",0,A,")),
     (ingest.DUPLICATE_HEADER, lambda text: text.replace("year,words", "year,words,year", 1)),
+    # Integers longer than int() accepts from a string (4300 digits by default).
+    (ingest.BAD_INDEX, lambda text: text.replace("t1,0,A,", "t1," + "1" * 5000 + ",A,")),
+    (ingest.BAD_YEAR, lambda text: text.replace("t1,0,A,0.75,2001", "t1,0,A,0.75," + "2" * 5000)),
 ]
 
 MATRIX_CORRUPTIONS = [

@@ -94,6 +94,19 @@ class TestBuild:
         assert main(build_args(profile, tes, "--min-tes", "0", "--out", str(positive))) == 0
         assert negative.read_bytes() == positive.read_bytes()
 
+    def test_negative_zero_weight_writes_zero(self, tmp_path):
+        tes = tmp_path / "tes.csv"
+        tes.write_bytes(b"1\n")
+        written = []
+        for weight in ("-0", "-0.0", "0"):
+            profile = tmp_path / f"profile{weight}.csv"
+            profile.write_text(f"id,index,label,weight,year,words\nx,0,X,{weight},2001,\"['a']\"\n")
+            out = tmp_path / f"tet{weight}.json"
+            assert main(build_args(profile, tes, "--out", str(out))) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1] == written[2]
+        assert b'"weight": 0.0,' in written[0]
+
     def test_failed_rename_leaves_no_files(self, fixture_paths, tmp_path, monkeypatch):
         profile, tes = fixture_paths
         out_dir = tmp_path / "out"

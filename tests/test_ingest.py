@@ -7,6 +7,7 @@ from helpers import random_instance
 from topictree import ingest
 from topictree.ingest import (
     CsvValidationError,
+    ValidationIssue,
     parse_profile,
     parse_tes,
     profile_to_csv,
@@ -286,3 +287,48 @@ class TestParseTes:
         matrix, _ = parse_tes("".join(",".join(row) + "\n" for row in rows).encode(), fixture_profile)
         stored = [tes for column in matrix.columns for _, tes in column]
         assert len(stored) > n and len({id(tes) for tes in stored}) == 1
+
+    def test_issues_in_every_range_of_one_row(self):
+        # Row 2 (year 2002) has a value below the diagonal, an off-unit
+        # diagonal, a nonzero TES with its contemporary in column 3 and a
+        # blank cell in column 4.
+        profile, _ = parse_profile(
+            profile_bytes(
+                "a,0,A,0.5,2001,\"['a']\"",
+                "b,1,B,0.5,2002,\"['b']\"",
+                "c,2,C,0.5,2002,\"['c']\"",
+                "d,3,D,0.5,2003,\"['d']\"",
+                "e,4,E,0.5,2003,\"['e']\"",
+            )
+        )
+        rows = ["1,0.2,0,0,0", "0.4,0.9,0.3,,0.6", ",,1,0.5,0", ",,,1,0", ",,,,1"]
+        data = "\n".join(rows).encode()
+        below = ValidationIssue(2, 1, ingest.BELOW_DIAGONAL_IGNORED, "value below the diagonal is ignored")
+        blank = ValidationIssue(2, 4, ingest.BLANK_ABOVE_DIAGONAL, "blank cell above the diagonal")
+
+        with pytest.raises(CsvValidationError) as exc:
+            parse_tes(data, profile)
+        assert exc.value.report.errors == [
+            ValidationIssue(2, 2, ingest.DIAGONAL_NOT_ONE, "diagonal entry must be 1, got 0.9"),
+            ValidationIssue(
+                2, 3, ingest.CONTEMPORARY_NONZERO, "TES between contemporary topics (year 2002) must be 0, got 0.3"
+            ),
+            blank,
+        ]
+        assert exc.value.report.warnings == [below]
+
+        lenient_warnings = [
+            below,
+            ValidationIssue(2, 2, ingest.DIAGONAL_NOT_ONE, "diagonal entry 0.9 coerced to 1"),
+            ValidationIssue(2, 3, ingest.CONTEMPORARY_NONZERO, "contemporary TES 0.3 coerced to 0"),
+        ]
+        with pytest.raises(CsvValidationError) as exc:
+            parse_tes(data, profile, lenient=True)
+        assert exc.value.report.errors == [blank]
+        assert exc.value.report.warnings == lenient_warnings
+
+        # With the blank filled, lenient mode stores the row's TES to later topics only.
+        rows[1] = "0.4,0.9,0.3,0.7,0.6"
+        matrix, report = parse_tes("\n".join(rows).encode(), profile, lenient=True)
+        assert not report.errors and report.warnings == lenient_warnings
+        assert matrix.columns == ((), ((0, 0.2),), (), ((1, 0.7), (2, 0.5)), ((1, 0.6),))
