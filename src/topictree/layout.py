@@ -13,21 +13,24 @@ orientation): larger weight means smaller y.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .model import Tet
 
-# Unit step of each compass direction, y growing downwards. A diagonal label
+_DIAG = 0.7071067811865476  # 1/sqrt(2)
+
+# Unit step of each compass direction, y growing downwards, and the share of
+# the glyph radius a label clears along each stepped axis. A diagonal label
 # clears the glyph's rim at 45 degrees: radius * _DIAG along each axis.
 _OFFSETS = {
-    "N": (0, -1), "NE": (1, -1), "E": (1, 0), "SE": (1, 1),
-    "S": (0, 1), "SW": (-1, 1), "W": (-1, 0), "NW": (-1, -1),
+    "N": (0, -1, 1.0), "NE": (1, -1, _DIAG), "E": (1, 0, 1.0), "SE": (1, 1, _DIAG),
+    "S": (0, 1, 1.0), "SW": (-1, 1, _DIAG), "W": (-1, 0, 1.0), "NW": (-1, -1, _DIAG),
 }
 
 #: Compass directions tried for a label, in scan order.
 COMPASS = tuple(_OFFSETS)
 
-_DIAG = 0.7071067811865476  # 1/sqrt(2)
 _LABEL_GAP = 3.0
 _JITTER_STEP = 8.0
 
@@ -94,17 +97,6 @@ class Rect:
     x1: float
     y1: float
 
-    def intersection_area(self, other: "Rect") -> float:
-        dx = min(self.x1, other.x1) - max(self.x0, other.x0)
-        dy = min(self.y1, other.y1) - max(self.y0, other.y0)
-        if dx <= 0 or dy <= 0:
-            return 0.0
-        return dx * dy
-
-    @classmethod
-    def centered(cls, cx: float, cy: float, w: float, h: float) -> "Rect":
-        return cls(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-
 
 @dataclass(frozen=True)
 class LabelAnchor:
@@ -161,43 +153,79 @@ def compute_positions(tet: Tet, canvas: CanvasSpec | None = None) -> dict[int, t
     return positions
 
 
+#: A box as ``(x0, y0, x1, y1)``: what label placement scores, cheaper than a Rect.
+_Box = tuple[float, float, float, float]
+
+
+def _label_box(x: float, y: float, w: float, h: float, sx: int, sy: int, r: float) -> _Box:
+    """``(x0, y0, x1, y1)`` of a w x h label one unit step ``(sx, sy)`` from a
+    node at (x, y): r clear of the node's centre, then ``_LABEL_GAP`` clear."""
+    cx = x + sx * r + sx * _LABEL_GAP + sx * w / 2
+    cy = y + sy * r + sy * _LABEL_GAP + sy * h / 2
+    return cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2
+
+
 def _direction_box(
     direction: str, x: float, y: float, w: float, h: float, radius: float
 ) -> Rect:
-    sx, sy = _OFFSETS[direction]
-    r = radius * _DIAG if sx and sy else radius
-    return Rect.centered(
-        x + sx * r + sx * _LABEL_GAP + sx * w / 2, y + sy * r + sy * _LABEL_GAP + sy * h / 2, w, h
-    )
+    """The box of a w x h label placed in ``direction`` from a node at (x, y)."""
+    sx, sy, k = _OFFSETS[direction]
+    return Rect(*_label_box(x, y, w, h, sx, sy, radius * k))
 
 
-def _cells(box: Rect) -> list[tuple[int, int]]:
-    """Grid cells a box touches, boundaries included.
+def _cells(box: _Box, limits: tuple[int, int, int, int]) -> list[tuple[int, int]]:
+    """Grid cells a box touches, boundaries included, within the cell range
+    ``limits`` = (first column, first row, last column, last row).
 
-    Two boxes with a positive intersection share a point, and that point's
-    cell is in both lists.
+    Two boxes with a positive intersection share a point. When that point
+    lies inside ``limits``, its cell is in both lists.
     """
-    xs = range(math.floor(box.x0 / _CELL), math.floor(box.x1 / _CELL) + 1)
-    ys = range(math.floor(box.y0 / _CELL), math.floor(box.y1 / _CELL) + 1)
+    i0, j0, i1, j1 = limits
+    xs = range(max(i0, math.floor(box[0] / _CELL)), min(i1, math.floor(box[2] / _CELL)) + 1)
+    ys = range(max(j0, math.floor(box[1] / _CELL)), min(j1, math.floor(box[3] / _CELL)) + 1)
     return [(i, j) for i in xs for j in ys]
 
 
 class _Grid:
-    """Boxes bucketed into every grid cell they touch, in insertion order."""
+    """Boxes bucketed into every grid cell they touch, numbered in insertion order."""
 
-    def __init__(self) -> None:
-        self.boxes: list[Rect] = []
+    def __init__(self, limits: tuple[int, int, int, int]) -> None:
+        self.limits = limits
+        self.boxes: list[_Box] = []
         self.buckets: dict[tuple[int, int], list[int]] = {}
 
-    def add(self, box: Rect) -> None:
-        for cell in _cells(box):
+    def add(self, box: _Box) -> None:
+        for cell in _cells(box, self.limits):
             self.buckets.setdefault(cell, []).append(len(self.boxes))
         self.boxes.append(box)
 
-    def near(self, cells: list[tuple[int, int]]) -> list[Rect]:
-        """Each box bucketed in any of ``cells``, once, in insertion order."""
-        found = {k for cell in cells for k in self.buckets.get(cell, ())}
-        return [self.boxes[k] for k in sorted(found)]
+    def near(self, box: _Box, split: int) -> tuple[list[_Box], list[_Box]]:
+        """Each box that shares a cell with ``box``, once, in insertion order:
+        those numbered below ``split``, then the rest."""
+        found = sorted({k for cell in _cells(box, self.limits) for k in self.buckets.get(cell, ())})
+        at = bisect_left(found, split)
+        return [self.boxes[k] for k in found[:at]], [self.boxes[k] for k in found[at:]]
+
+
+def _overlap(box: _Box, others: list[_Box]) -> float:
+    """Total intersection area of ``box`` with ``others``, summed from zero in their order.
+
+    A box whose x or y interval does not overlap ``box``'s is skipped before
+    any arithmetic: its intersection area is exactly 0.0, and leaving out a
+    0.0 term changes no sum of non-negative terms. As no box has x0 > x1 or
+    y0 > y1, any other box has dx >= 0 and dy >= 0, and dx * dy is its
+    intersection area (0.0 when dx or dy is 0). ``min`` and ``max``
+    are written out as the comparisons the builtins make, to save the calls.
+    The terms go through ``sum`` as in the all-pairs scan: from Python 3.12
+    ``sum`` compensates float rounding, which a plain ``+=`` loop would not.
+    """
+    x0, y0, x1, y1 = box
+    return sum(
+        ((a1 if a1 < x1 else x1) - (a0 if a0 > x0 else x0))
+        * ((b1 if b1 < y1 else y1) - (b0 if b0 > y0 else y0))
+        for a0, b0, a1, b1 in others
+        if a0 < x1 and a1 > x0 and b0 < y1 and b1 > y0
+    )
 
 
 def place_labels(
@@ -209,35 +237,57 @@ def place_labels(
     the least total overlap against already-placed labels and all node
     glyphs. Best effort: a single pass, deterministic.
 
-    Glyph boxes and placed label boxes sit in a uniform grid of square
-    cells, so an offset is scored only against the boxes that share a cell
-    with it. The boxes left out overlap it by exactly 0.0, and the rest are
-    summed in the all-pairs order (glyphs in ``positions`` order, then labels
-    in placement order), so every sum, tie-break and box matches a scan of
-    all glyphs and labels.
+    Boxes are plain ``(x0, y0, x1, y1)`` float tuples; only the box a label
+    takes becomes a :class:`Rect`. Glyph boxes and placed label boxes sit in
+    one uniform grid of square cells, so a label's offsets are scored only
+    against the boxes that share a cell with the region their eight boxes
+    span, and a box whose x or y interval does not overlap the offset's is
+    skipped before any arithmetic. Every box left out overlaps the offset by
+    exactly 0.0, and the rest are summed in the all-pairs order (glyphs in
+    ``positions`` order, then labels in placement order), so every sum,
+    tie-break and box matches a scan of all glyphs and labels.
+
+    The grid covers only the cells around the nodes: their bounding box
+    widened by the glyph radius, the label gap and one more cell. Each label
+    box has a point that close to its node along each axis, and each glyph
+    box holds its node, so two boxes that overlap share a point in that
+    range. A long label therefore costs a bounded number of cells.
     """
-    glyph_radius = CanvasSpec.glyph_radius
-    glyphs = _Grid()
+    radius = CanvasSpec.glyph_radius
+    margin = radius + _LABEL_GAP
+    xs = [x for x, _ in positions.values()] or [0.0]
+    ys = [y for _, y in positions.values()] or [0.0]
+    limits = (
+        math.floor((min(xs) - margin) / _CELL) - 1,
+        math.floor((min(ys) - margin) / _CELL) - 1,
+        math.floor((max(xs) + margin) / _CELL) + 1,
+        math.floor((max(ys) + margin) / _CELL) + 1,
+    )
+    # Glyphs first, then labels as they are placed: the all-pairs scan order.
+    grid = _Grid(limits)
     for x, y in positions.values():
-        glyphs.add(Rect.centered(x, y, 2 * glyph_radius, 2 * glyph_radius))
-    placed_boxes = _Grid()
+        grid.add((x - radius, y - radius, x + radius, y + radius))
+    n_glyphs = len(grid.boxes)
+    steps = [(sx, sy, radius * k) for sx, sy, k in _OFFSETS.values()]
     placed: dict[int, LabelAnchor] = {}
     for v in sorted(labels):
         x, y = positions[v]
         w, h = max(1, len(labels[v])) * _CHAR_WIDTH, _LINE_HEIGHT
-        best: tuple[float, str, Rect] | None = None
-        for direction in COMPASS:
-            box = _direction_box(direction, x, y, w, h, glyph_radius)
-            cells = _cells(box)
-            overlap = sum(box.intersection_area(g) for g in glyphs.near(cells))
-            overlap += sum(box.intersection_area(a) for a in placed_boxes.near(cells))
+        boxes = [_label_box(x, y, w, h, sx, sy, r) for sx, sy, r in steps]
+        x0s, y0s, x1s, y1s = zip(*boxes)
+        region = (min(x0s), min(y0s), max(x1s), max(y1s))
+        near_glyphs, near_labels = grid.near(region, n_glyphs)
+        best: tuple[float, str, _Box] | None = None
+        for direction, box in zip(COMPASS, boxes):
+            overlap = _overlap(box, near_glyphs)
+            overlap += _overlap(box, near_labels)
             if best is None or overlap < best[0]:
                 best = (overlap, direction, box)
             if overlap == 0.0:
                 break
         assert best is not None
-        placed[v] = LabelAnchor(direction=best[1], box=best[2])
-        placed_boxes.add(best[2])
+        placed[v] = LabelAnchor(direction=best[1], box=Rect(*best[2]))
+        grid.add(best[2])
     return placed
 
 

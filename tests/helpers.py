@@ -5,7 +5,9 @@ closure, brute-force antichain oracle) deliberately avoid the library's code
 paths so they can serve as oracles for it. The TES parser oracle checks cell
 by cell and shares only decoding, CSV reading and number parsing with
 `parse_tes`. The all-pairs label placement shares the library's
-box geometry and tie-breaks and leaves out only its spatial grid.
+offset geometry (`_direction_box`) and tie-breaks; it scores `Rect` boxes
+with its own `intersection_area`, and leaves out the library's grid and
+interval test.
 """
 
 from __future__ import annotations
@@ -72,6 +74,41 @@ def random_instance(
         threshold_mode=rng.choice(list(ThresholdMode)),
     )
     return profile, matrix, params
+
+
+def crowded_instance(
+    rng: random.Random,
+) -> tuple[TemporalTopicProfile, TesMatrix, EvolutionParams]:
+    """A profile that crowds the default canvas: 150-250 topics on at most 4
+    years and at most 21 weight levels, labelled with mixed lengths (none, so
+    the id is drawn; empty; short; long), with about 5% of the TES cells
+    towards older years nonzero."""
+    n = rng.randint(150, 250)
+    years = rng.randint(1, 4)
+    levels = rng.randint(2, 21)
+    labels = (None, "", "x", "topic", "a longer topic label", "w" * 60)
+    records = [
+        TopicRecord(
+            id=f"t{i}",
+            index=i,
+            weight=rng.randrange(levels) / (levels - 1),
+            year=2000 + rng.randrange(years),
+            words=(f"w{i}",),
+            label=rng.choice(labels),
+        )
+        for i in range(n)
+    ]
+    records.sort(key=lambda t: (t.year, t.index))
+    profile = TemporalTopicProfile(topics=tuple(records))
+    columns = tuple(
+        tuple(
+            (i, rng.randint(1, 10) / 10)
+            for i in range(j)
+            if records[i].year < records[j].year and rng.random() < 0.05
+        )
+        for j in range(n)
+    )
+    return profile, TesMatrix(columns=columns), EvolutionParams()
 
 
 def tes_matrix(columns) -> TesMatrix:
@@ -306,9 +343,21 @@ def structural_violations(tet, matrix: TesMatrix, params: EvolutionParams) -> li
     return problems
 
 
+def intersection_area(a: Rect, b: Rect) -> float:
+    dx = min(a.x1, b.x1) - max(a.x0, b.x0)
+    dy = min(a.y1, b.y1) - max(a.y0, b.y0)
+    if dx <= 0 or dy <= 0:
+        return 0.0
+    return dx * dy
+
+
+def centered(cx: float, cy: float, w: float, h: float) -> Rect:
+    return Rect(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+
+
 def intersects(a: Rect, b: Rect) -> bool:
     """Whether two boxes overlap with positive area."""
-    return a.intersection_area(b) > 0.0
+    return intersection_area(a, b) > 0.0
 
 
 def place_labels_bruteforce(
@@ -318,7 +367,7 @@ def place_labels_bruteforce(
     and every placed label, with the library's box geometry and tie-breaks."""
     glyph_radius = CanvasSpec.glyph_radius
     glyph_boxes = [
-        Rect.centered(x, y, 2 * glyph_radius, 2 * glyph_radius) for x, y in positions.values()
+        centered(x, y, 2 * glyph_radius, 2 * glyph_radius) for x, y in positions.values()
     ]
     placed: dict[int, LabelAnchor] = {}
     for v in sorted(labels):
@@ -327,8 +376,8 @@ def place_labels_bruteforce(
         best: tuple[float, str, Rect] | None = None
         for direction in COMPASS:
             box = _direction_box(direction, x, y, w, h, glyph_radius)
-            overlap = sum(box.intersection_area(g) for g in glyph_boxes)
-            overlap += sum(box.intersection_area(a.box) for a in placed.values())
+            overlap = sum(intersection_area(box, g) for g in glyph_boxes)
+            overlap += sum(intersection_area(box, a.box) for a in placed.values())
             if best is None or overlap < best[0]:
                 best = (overlap, direction, box)
             if overlap == 0.0:

@@ -1,11 +1,19 @@
 import math
 import random
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import astuple
 
 import pytest
 
-from helpers import dense, intersects, place_labels_bruteforce, random_instance, tes_matrix
+from helpers import (
+    crowded_instance,
+    dense,
+    intersects,
+    place_labels_bruteforce,
+    random_instance,
+    tes_matrix,
+)
 from topictree.builder import build_tet
 from topictree.layout import (
     _CELL,
@@ -213,6 +221,39 @@ class TestPlaceLabels:
             assert [(v, a.direction, astuple(a.box)) for v, a in got.items()] == [
                 (v, a.direction, astuple(a.box)) for v, a in want.items()
             ]
+
+    def test_crowded_canvas_matches_all_pairs_scan(self):
+        # Hundreds of labels on a few years and weight levels, as on a crowded
+        # chart: many boxes share each cell and every direction gets taken.
+        rng = random.Random(2)
+        taken = set()
+        for _ in range(4):
+            profile, matrix, params = crowded_instance(rng)
+            positions = compute_positions(build_tet(profile, matrix, params))
+            labels = {t.index: t.display_label for t in profile.topics}
+            got = place_labels(positions, labels)
+            want = place_labels_bruteforce(positions, labels)
+            assert [(v, a.direction, astuple(a.box)) for v, a in got.items()] == [
+                (v, a.direction, astuple(a.box)) for v, a in want.items()
+            ]
+            taken |= {a.direction for a in got.values()}
+        assert taken == set(COMPASS)
+
+    def test_long_labels_cost_bounded_memory(self):
+        # The grid covers only the cells near the nodes, however far a label reaches.
+        positions = {0: (100.0, 100.0), 1: (100.0, 100.0)}
+        labels = {0: "x" * 10**6, 1: "y" * 10**6}
+        tracemalloc.start()
+        try:
+            got = place_labels(positions, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        want = place_labels_bruteforce(positions, labels)
+        assert [(v, a.direction, astuple(a.box)) for v, a in got.items()] == [
+            (v, a.direction, astuple(a.box)) for v, a in want.items()
+        ]
 
     def test_font_metrics_scale_box(self):
         # 7.2 units per character, 12 units per line

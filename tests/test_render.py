@@ -1,11 +1,13 @@
+import hashlib
 import json
+import random
 import xml.etree.ElementTree as ET
 
 import pyparsing
 import pytest
 
 from dot_checker import check_dot
-from helpers import tes_matrix
+from helpers import crowded_instance, tes_matrix
 from topictree.builder import build_tet
 from topictree.model import (
     EvolutionParams,
@@ -79,6 +81,17 @@ class TestSvg:
 
     def test_byte_deterministic(self, tet_exclusive):
         assert to_svg(tet_exclusive) == to_svg(tet_exclusive)
+
+    def test_crowded_trees_pinned(self):
+        # The digest pins the SVG bytes of these crowded charts, with and
+        # without the root, as written when label boxes were scored as Rects.
+        rng = random.Random(3)
+        digest = hashlib.sha256()
+        for _ in range(3):
+            tet = build_tet(*crowded_instance(rng))
+            for show_root in (False, True):
+                digest.update(to_svg(tet, show_root=show_root).encode())
+        assert digest.hexdigest() == "fc42610fe19456f3ca4e1ca5b045aa813974db2fe12c0aee1e480f97be62b975"
 
     def test_label_text_escaped(self):
         topics = (
