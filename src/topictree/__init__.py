@@ -22,7 +22,7 @@ from .ingest import (
     profile_to_csv,
     tes_to_csv,
 )
-from .layout import CanvasSpec, TetLayout, compute_layout
+from .layout import CanvasSpec
 from .model import (
     ROOT_INDEX,
     EmergingState,
@@ -51,13 +51,11 @@ __all__ = [
     "TesMatrix",
     "Tet",
     "TetEdge",
-    "TetLayout",
     "ThresholdMode",
     "TopicRecord",
     "ValidationIssue",
     "ValidationReport",
     "build_tet",
-    "compute_layout",
     "parse_profile",
     "parse_tes",
     "profile_to_csv",

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .builder import build_tet
 from .ingest import CsvValidationError, ValidationReport, parse_profile, parse_tes
-from .layout import CanvasSpec, compute_layout
+from .layout import CanvasSpec
 from .model import EvolutionParams, Tet, ThresholdMode
 from .render import tet_from_json, to_dot, to_json, to_svg
 
@@ -39,24 +39,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_build_flags(parser: argparse.ArgumentParser) -> None:
+    defaults = EvolutionParams()
     parser.add_argument("--profile", required=True, help="temporal topic profile CSV")
     parser.add_argument("--tes", required=True, help="TES matrix CSV (N x N, no header)")
-    parser.add_argument("--min-tes", type=float, default=0.2, help="minimum TES for an ancestry edge (default 0.2)")
-    parser.add_argument("--min-reborn", type=int, default=2, help="years of silence before a topic counts as reborn (default 2)")
-    parser.add_argument("--min-dead", type=int, default=1, help="trailing years without influence before a topic counts as dead (default 1)")
+    parser.add_argument("--min-tes", type=float, default=defaults.min_tes, help="minimum TES for an ancestry edge (default %(default)s)")
+    parser.add_argument("--min-reborn", type=int, default=defaults.min_reborn, help="years of silence before a topic counts as reborn (default %(default)s)")
+    parser.add_argument("--min-dead", type=int, default=defaults.min_dead, help="trailing years without influence before a topic counts as dead (default %(default)s)")
     parser.add_argument(
         "--threshold-mode",
         choices=[mode.value for mode in ThresholdMode],
-        default=ThresholdMode.INCLUSIVE.value,
-        help="compare TES against min-tes inclusively or exclusively (default inclusive)",
+        default=defaults.threshold_mode.value,
+        help="compare TES against min-tes inclusively or exclusively (default %(default)s)",
     )
     parser.add_argument("--lenient", action="store_true", help="coerce fixable matrix violations to warnings")
 
 
 def _add_render_flags(parser: argparse.ArgumentParser) -> None:
+    defaults = CanvasSpec()
     parser.add_argument("--show-root", action="store_true", help="draw the dummy root and its edges")
-    parser.add_argument("--width", type=float, default=1000.0, help="canvas width (default 1000)")
-    parser.add_argument("--height", type=float, default=600.0, help="canvas height (default 600)")
+    parser.add_argument("--width", type=float, default=defaults.width, help="canvas width (default %(default)g)")
+    parser.add_argument("--height", type=float, default=defaults.height, help="canvas height (default %(default)g)")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -146,7 +148,7 @@ def _build_from_args(args: argparse.Namespace) -> Tet:
 def _render_text(tet: Tet, fmt: str, canvas: CanvasSpec, show_root: bool) -> str:
     if fmt == "dot":
         return to_dot(tet, show_root=show_root)
-    return to_svg(tet, compute_layout(tet, canvas), show_root=show_root)
+    return to_svg(tet, canvas, show_root=show_root)
 
 
 def cmd_build(args: argparse.Namespace) -> int:

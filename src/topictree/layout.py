@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import Tet
 
@@ -112,7 +112,7 @@ class TetLayout:
     label_anchors: dict[int, LabelAnchor]
     x_ticks: list[tuple[int, float]]
     y_ticks: list[tuple[float, float]]
-    canvas: CanvasSpec = field(default_factory=CanvasSpec)
+    canvas: CanvasSpec
 
 
 def _x_of_year(year: int, years: tuple[int, ...], canvas: CanvasSpec) -> float:
@@ -126,17 +126,17 @@ def _y_of_weight(weight: float, canvas: CanvasSpec) -> float:
     return canvas.plot_bottom - weight * canvas.plot_height
 
 
-def compute_positions(tet: Tet, canvas: CanvasSpec | None = None) -> dict[int, tuple[float, float]]:
+def compute_positions(tet: Tet, canvas: CanvasSpec) -> dict[int, tuple[float, float]]:
     """Per-topic canvas coordinates; the dummy root gets none.
 
     Topics sharing both year and weight are spread horizontally around the
     year's base x, lower index leftmost, never past the midpoint to the next
     year band.
     """
-    canvas = canvas or CanvasSpec()
     years = tet.profile.distinct_years
     band = canvas.plot_width if len(years) == 1 else canvas.plot_width / (len(years) - 1)
 
+    # Profile order is (year, index), so each group lists its members by index.
     groups: dict[tuple[int, float], list[int]] = {}
     for topic in tet.profile.topics:
         groups.setdefault((topic.year, topic.weight), []).append(topic.index)
@@ -145,7 +145,6 @@ def compute_positions(tet: Tet, canvas: CanvasSpec | None = None) -> dict[int, t
     for (year, weight), members in groups.items():
         base_x = _x_of_year(year, years, canvas)
         y = _y_of_weight(weight, canvas)
-        members.sort()
         m = len(members)
         step = _JITTER_STEP if m == 1 else min(_JITTER_STEP, 0.9 * band / (m - 1))
         for i, v in enumerate(members):
@@ -163,14 +162,6 @@ def _label_box(x: float, y: float, w: float, h: float, sx: int, sy: int, r: floa
     cx = x + sx * r + sx * _LABEL_GAP + sx * w / 2
     cy = y + sy * r + sy * _LABEL_GAP + sy * h / 2
     return cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2
-
-
-def _direction_box(
-    direction: str, x: float, y: float, w: float, h: float, radius: float
-) -> Rect:
-    """The box of a w x h label placed in ``direction`` from a node at (x, y)."""
-    sx, sy, k = _OFFSETS[direction]
-    return Rect(*_label_box(x, y, w, h, sx, sy, radius * k))
 
 
 def _cells(box: _Box, limits: tuple[int, int, int, int]) -> list[tuple[int, int]]:
@@ -291,11 +282,8 @@ def place_labels(
     return placed
 
 
-def axis_ticks(
-    tet: Tet, canvas: CanvasSpec | None = None
-) -> tuple[list[tuple[int, float]], list[tuple[float, float]]]:
+def axis_ticks(tet: Tet, canvas: CanvasSpec) -> tuple[list[tuple[int, float]], list[tuple[float, float]]]:
     """One x tick per distinct profile year; y ticks at 0, 0.25, 0.5, 0.75, 1."""
-    canvas = canvas or CanvasSpec()
     years = tet.profile.distinct_years
     x_ticks = [(year, _x_of_year(year, years, canvas)) for year in years]
     y_ticks = [(v, _y_of_weight(v, canvas)) for v in (0.0, 0.25, 0.5, 0.75, 1.0)]

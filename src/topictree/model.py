@@ -26,6 +26,13 @@ def non_xml_char(text: str) -> str | None:
     return match.group() if match else None
 
 
+def require_int(value: object, where: str) -> int:
+    """`value` if it is an integer; booleans, floats and strings are rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 class ThresholdMode(enum.Enum):
     """How a candidate's TES is compared against ``min_tes``."""
 
@@ -67,8 +74,9 @@ class TopicRecord:
         for name, text in (("id", self.id), ("label", self.label or "")):
             if (char := non_xml_char(text)) is not None:
                 raise ValueError(f"topic {self.id!r}: {name} holds U+{ord(char):04X}, which XML cannot carry")
-        if self.index < 0:
+        if require_int(self.index, f"topic {self.id!r}: index") < 0:
             raise ValueError(f"topic {self.id!r}: index must be >= 0, got {self.index}")
+        require_int(self.year, f"topic {self.id!r}: year")
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError(f"topic {self.id!r}: weight must be in [0, 1], got {self.weight}")
         # A float, and 0.0 for -0.0, so equal weights write the same JSON.
@@ -122,23 +130,19 @@ class TemporalTopicProfile:
         return self.distinct_years[-1]
 
     @cached_property
-    def _by_index(self) -> dict[int, TopicRecord]:
-        return {t.index: t for t in self.topics}
-
-    @cached_property
     def _position_by_index(self) -> dict[int, int]:
         return {t.index: pos for pos, t in enumerate(self.topics)}
 
     def topic(self, index: int) -> TopicRecord:
         """The topic with identity `index` (not profile position)."""
-        return self._by_index[index]
+        return self.topics[self._position_by_index[index]]
 
     def position_of(self, index: int) -> int:
         """Profile position of the topic with identity `index`; this is its matrix row/column."""
         return self._position_by_index[index]
 
     def year_of(self, index: int) -> int:
-        return self._by_index[index].year
+        return self.topics[self._position_by_index[index]].year
 
 
 @dataclass(frozen=True)
@@ -191,9 +195,9 @@ class EvolutionParams:
             raise ValueError(f"min_tes must be in [0, 1], got {self.min_tes}")
         # A float, and 0.0 for -0.0, so equal gates write the same JSON.
         object.__setattr__(self, "min_tes", self.min_tes + 0.0)
-        if self.min_reborn < 0:
+        if require_int(self.min_reborn, "min_reborn") < 0:
             raise ValueError(f"min_reborn must be >= 0, got {self.min_reborn}")
-        if self.min_dead < 0:
+        if require_int(self.min_dead, "min_dead") < 0:
             raise ValueError(f"min_dead must be >= 0, got {self.min_dead}")
         if not isinstance(self.threshold_mode, ThresholdMode):
             raise ValueError(f"threshold_mode must be a ThresholdMode, got {self.threshold_mode!r}")
@@ -214,12 +218,16 @@ class TetEdge:
     tes: float
 
     def __post_init__(self) -> None:
-        if self.from_index < ROOT_INDEX:
+        if require_int(self.from_index, "from_index") < ROOT_INDEX:
             raise ValueError(f"from_index must be >= {ROOT_INDEX}, got {self.from_index}")
-        if self.to_index < 0:
+        if require_int(self.to_index, "to_index") < 0:
             raise ValueError(f"to_index must be >= 0, got {self.to_index}")
         if not 0.0 <= self.tes <= 1.0:
             raise ValueError(f"edge tes must be in [0, 1], got {self.tes}")
+        # A float, and 0.0 for -0.0, so equal strengths write the same JSON.
+        # A nonzero float is kept: adding 0.0 would copy it, once per edge.
+        if type(self.tes) is not float or not self.tes:
+            object.__setattr__(self, "tes", self.tes + 0.0)
         if self.is_root_edge and self.tes != 1.0:
             raise ValueError("root edges carry tes 1")
 
@@ -343,11 +351,6 @@ class Tet:
 
     def children_of(self, v: int) -> tuple[int, ...]:
         return self._child_map[v]
-
-    def ancestors_of(self, v: int) -> set[int]:
-        """All topics reachable from `v` by walking edges backwards; excludes the root and `v`."""
-        mask = self._ancestor_masks[v]
-        return {u for u in self._parent_map if mask >> u & 1}
 
 
 # Evolution states. Each topic carries two: the emerging-state says how it

@@ -16,7 +16,6 @@ import re
 from .ingest import format_number
 from .layout import CanvasSpec, TetLayout, compute_layout
 from .model import (
-    ROOT_INDEX,
     EmergingState,
     EvolutionParams,
     EvolvingState,
@@ -25,6 +24,7 @@ from .model import (
     TetEdge,
     ThresholdMode,
     TopicRecord,
+    require_int,
 )
 
 #: Glyph fills: a topic's circle is split vertically, the left half showing
@@ -93,19 +93,32 @@ def _svg_half_circle(cx: float, cy: float, r: float, left: bool, fill: str) -> s
 
 
 def _svg_edge_path(
-    eid: str, p1: tuple[float, float], p2: tuple[float, float], r: float, stroke: str, marker: str, dashed: bool
+    e: TetEdge, p1: tuple[float, float], p2: tuple[float, float], r: float, stroke: str, token: str
 ) -> str:
+    """The arrowed path of edge ``e`` from p1 to p2, its marker ``arrow-<token>``; root edges are dashed."""
     (x1, y1), (x2, y2) = p1, p2
     length = math.hypot(x2 - x1, y2 - y1)
     if length > 2 * r + 4:
         ux, uy = (x2 - x1) / length, (y2 - y1) / length
         x1, y1 = x1 + ux * r, y1 + uy * r
         x2, y2 = x2 - ux * (r + 3), y2 - uy * (r + 3)
-    dash = ' stroke-dasharray="4 3"' if dashed else ""
+    dash = ' stroke-dasharray="4 3"' if e.is_root_edge else ""
     return (
-        f'<path id="{eid}" class="edge" d="M {_fmt(x1)} {_fmt(y1)} L {_fmt(x2)} {_fmt(y2)}" '
-        f'stroke="{stroke}" stroke-width="1.8" fill="none" marker-end="url(#{marker})"{dash}/>'
+        f'<path id="edge-{e.from_index}-{e.to_index}" class="edge" d="M {_fmt(x1)} {_fmt(y1)} L {_fmt(x2)} {_fmt(y2)}" '
+        f'stroke="{stroke}" stroke-width="1.8" fill="none" marker-end="url(#arrow-{token})"{dash}/>'
     )
+
+
+def _svg_axis_line(x1: float, y1: float, x2: float, y2: float) -> str:
+    return f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" stroke="{_AXIS_STROKE}"/>'
+
+
+def _svg_legend_row(x: float, y: float, fill: str, name: str) -> list[str]:
+    """A legend swatch and its name, on the baseline y."""
+    return [
+        f'<rect x="{_fmt(x)}" y="{_fmt(y - 10)}" width="14" height="12" fill="{fill}" stroke="#333333" stroke-width="0.7"/>',
+        f'<text x="{_fmt(x + 20)}" y="{_fmt(y)}" {_FONT} font-size="11">{name}</text>',
+    ]
 
 
 def _svg_legends(canvas: CanvasSpec) -> list[str]:
@@ -120,10 +133,7 @@ def _svg_legends(canvas: CanvasSpec) -> list[str]:
     entries += [(state.value, fill) for state, fill in EVOLVING_FILL.items()]
     for name, fill in entries:
         y += 17
-        out.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y - 10)}" width="14" height="12" fill="{fill}" stroke="#333333" stroke-width="0.7"/>'
-        )
-        out.append(f'<text x="{_fmt(x + 20)}" y="{_fmt(y)}" {_FONT} font-size="11">{name}</text>')
+        out += _svg_legend_row(x, y, fill, name)
     out.append("</g>")
 
     out.append('<g id="legend-strength">')
@@ -131,10 +141,7 @@ def _svg_legends(canvas: CanvasSpec) -> list[str]:
     out.append(f'<text x="{_fmt(x)}" y="{_fmt(y)}" {_FONT} font-size="13" font-weight="bold">Evolutionary strength</text>')
     for _, fill, label in TES_BINS:
         y += 17
-        out.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y - 10)}" width="14" height="12" fill="{fill}" stroke="#333333" stroke-width="0.7"/>'
-        )
-        out.append(f'<text x="{_fmt(x + 20)}" y="{_fmt(y)}" {_FONT} font-size="11">{label}</text>')
+        out += _svg_legend_row(x, y, fill, label)
     out.append("</g>")
     return out
 
@@ -142,28 +149,16 @@ def _svg_legends(canvas: CanvasSpec) -> list[str]:
 def _svg_axes(layout: TetLayout) -> list[str]:
     canvas = layout.canvas
     out = ['<g id="axes">']
-    out.append(
-        f'<line x1="{_fmt(canvas.plot_left)}" y1="{_fmt(canvas.plot_bottom)}" '
-        f'x2="{_fmt(canvas.plot_right)}" y2="{_fmt(canvas.plot_bottom)}" stroke="{_AXIS_STROKE}"/>'
-    )
-    out.append(
-        f'<line x1="{_fmt(canvas.plot_left)}" y1="{_fmt(canvas.plot_top)}" '
-        f'x2="{_fmt(canvas.plot_left)}" y2="{_fmt(canvas.plot_bottom)}" stroke="{_AXIS_STROKE}"/>'
-    )
+    out.append(_svg_axis_line(canvas.plot_left, canvas.plot_bottom, canvas.plot_right, canvas.plot_bottom))
+    out.append(_svg_axis_line(canvas.plot_left, canvas.plot_top, canvas.plot_left, canvas.plot_bottom))
     for year, x in layout.x_ticks:
-        out.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(canvas.plot_bottom)}" x2="{_fmt(x)}" '
-            f'y2="{_fmt(canvas.plot_bottom + 5)}" stroke="{_AXIS_STROKE}"/>'
-        )
+        out.append(_svg_axis_line(x, canvas.plot_bottom, x, canvas.plot_bottom + 5))
         out.append(
             f'<text class="x-tick-label" x="{_fmt(x)}" y="{_fmt(canvas.plot_bottom + 18)}" '
             f'{_FONT} font-size="11" text-anchor="middle">{year}</text>'
         )
     for value, y in layout.y_ticks:
-        out.append(
-            f'<line x1="{_fmt(canvas.plot_left - 5)}" y1="{_fmt(y)}" x2="{_fmt(canvas.plot_left)}" '
-            f'y2="{_fmt(y)}" stroke="{_AXIS_STROKE}"/>'
-        )
+        out.append(_svg_axis_line(canvas.plot_left - 5, y, canvas.plot_left, y))
         out.append(
             f'<text class="y-tick-label" x="{_fmt(canvas.plot_left - 9)}" y="{_fmt(y + 4)}" '
             f'{_FONT} font-size="11" text-anchor="end">{format_number(value)}</text>'
@@ -182,15 +177,15 @@ def _svg_axes(layout: TetLayout) -> list[str]:
     return out
 
 
-def to_svg(tet: Tet, layout: TetLayout | None = None, show_root: bool = False) -> str:
-    """Render the tree as a standalone SVG 1.1 document.
+def to_svg(tet: Tet, canvas: CanvasSpec | None = None, show_root: bool = False) -> str:
+    """Render the tree as a standalone SVG 1.1 document on ``canvas``
+    (the default :class:`CanvasSpec` when None).
 
     One split-circle group per topic, one arrowed path per edge colored by
     its TES bin, axes with year/weight ticks, and the two legends. The root
     and its edges are hidden unless ``show_root`` is set.
     """
-    if layout is None:
-        layout = compute_layout(tet)
+    layout = compute_layout(tet, canvas)
     canvas = layout.canvas
     r = canvas.glyph_radius
 
@@ -200,17 +195,12 @@ def to_svg(tet: Tet, layout: TetLayout | None = None, show_root: bool = False) -
         f'height="{_fmt(canvas.height)}" viewBox="0 0 {_fmt(canvas.width)} {_fmt(canvas.height)}">',
         "<defs>",
     ]
-    for token, fill, _ in TES_BINS:
+    for token, fill, _ in (*TES_BINS, ("root", _ROOT_STROKE, "")):
         lines.append(
             f'<marker id="arrow-{token}" viewBox="0 0 10 10" refX="9" refY="5" '
             f'markerWidth="7" markerHeight="7" orient="auto-start-reverse">'
             f'<path d="M 0 0 L 10 5 L 0 10 Z" fill="{fill}"/></marker>'
         )
-    lines.append(
-        f'<marker id="arrow-root" viewBox="0 0 10 10" refX="9" refY="5" '
-        f'markerWidth="7" markerHeight="7" orient="auto-start-reverse">'
-        f'<path d="M 0 0 L 10 5 L 0 10 Z" fill="{_ROOT_STROKE}"/></marker>'
-    )
     lines.append("</defs>")
     lines.append(f'<rect width="{_fmt(canvas.width)}" height="{_fmt(canvas.height)}" fill="#ffffff"/>')
     lines.extend(_svg_axes(layout))
@@ -222,24 +212,11 @@ def to_svg(tet: Tet, layout: TetLayout | None = None, show_root: bool = False) -
         if e.is_root_edge:
             if not show_root:
                 continue
-            eid = f"edge-{ROOT_INDEX}-{e.to_index}"
-            lines.append(
-                _svg_edge_path(eid, root_pos, layout.positions[e.to_index], r, _ROOT_STROKE, "arrow-root", True)
-            )
+            start, token, stroke = root_pos, "root", _ROOT_STROKE
         else:
-            token, fill, _ = tes_bin(e.tes)
-            eid = f"edge-{e.from_index}-{e.to_index}"
-            lines.append(
-                _svg_edge_path(
-                    eid,
-                    layout.positions[e.from_index],
-                    layout.positions[e.to_index],
-                    r,
-                    fill,
-                    f"arrow-{token}",
-                    False,
-                )
-            )
+            start = layout.positions[e.from_index]
+            token, stroke, _ = tes_bin(e.tes)
+        lines.append(_svg_edge_path(e, start, layout.positions[e.to_index], r, stroke, token))
     lines.append("</g>")
 
     lines.append('<g id="nodes">')
@@ -353,13 +330,6 @@ def to_json(tet: Tet) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _integer(value: object, where: str) -> int:
-    """A JSON integer; booleans, floats and strings are rejected, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
 def _number(value: object, where: str) -> float:
     """A JSON number as a float; booleans and strings are rejected, not coerced."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -409,8 +379,8 @@ def tet_from_json(text: str) -> Tet:
         raw_params = doc["params"]
         params = EvolutionParams(
             min_tes=_number(raw_params["min_tes"], "params.min_tes"),
-            min_reborn=_integer(raw_params["min_reborn"], "params.min_reborn"),
-            min_dead=_integer(raw_params["min_dead"], "params.min_dead"),
+            min_reborn=require_int(raw_params["min_reborn"], "params.min_reborn"),
+            min_dead=require_int(raw_params["min_dead"], "params.min_dead"),
             threshold_mode=ThresholdMode(raw_params["threshold_mode"]),
         )
         topics = []
@@ -425,22 +395,22 @@ def tet_from_json(text: str) -> Tet:
                 raise ValueError(f"nodes[{i}].words must be a list of strings, got {words!r}")
             topic = TopicRecord(
                 id=node["id"],
-                index=_integer(node["index"], f"nodes[{i}].index"),
+                index=require_int(node["index"], f"nodes[{i}].index"),
                 weight=_number(node["weight"], f"nodes[{i}].weight"),
-                year=_integer(node["year"], f"nodes[{i}].year"),
+                year=require_int(node["year"], f"nodes[{i}].year"),
                 words=tuple(words),
                 label=label,
             )
             topics.append(topic)
         edges = tuple(
             TetEdge(
-                from_index=_integer(e["from_index"], f"edges[{k}].from_index"),
-                to_index=_integer(e["to_index"], f"edges[{k}].to_index"),
+                from_index=require_int(e["from_index"], f"edges[{k}].from_index"),
+                to_index=require_int(e["to_index"], f"edges[{k}].to_index"),
                 tes=_number(e["tes"], f"edges[{k}].tes"),
             )
             for k, e in enumerate(doc["edges"])
         )
-        latest_year = _integer(doc["latest_year"], "latest_year")
+        latest_year = require_int(doc["latest_year"], "latest_year")
         tet = Tet(profile=TemporalTopicProfile(topics=tuple(topics)), edges=edges, params=params)
         if latest_year != tet.latest_year:
             raise ValueError(f"latest_year {latest_year} does not match profile ({tet.latest_year})")

@@ -5,7 +5,7 @@ closure, brute-force antichain oracle) deliberately avoid the library's code
 paths so they can serve as oracles for it. The TES parser oracle checks cell
 by cell and shares only decoding, CSV reading and number parsing with
 `parse_tes`. The all-pairs label placement shares the library's
-offset geometry (`_direction_box`) and tie-breaks; it scores `Rect` boxes
+offset geometry (`_label_box` and `_OFFSETS`) and tie-breaks; it scores `Rect` boxes
 with its own `intersection_area`, and leaves out the library's grid and
 interval test.
 """
@@ -19,11 +19,12 @@ from topictree.ingest import CsvValidationError, ValidationReport
 from topictree.layout import (
     _CHAR_WIDTH,
     _LINE_HEIGHT,
+    _OFFSETS,
     COMPASS,
     CanvasSpec,
     LabelAnchor,
     Rect,
-    _direction_box,
+    _label_box,
 )
 from topictree.model import (
     EvolutionParams,
@@ -375,7 +376,8 @@ def place_labels_bruteforce(
         w, h = max(1, len(labels[v])) * _CHAR_WIDTH, _LINE_HEIGHT
         best: tuple[float, str, Rect] | None = None
         for direction in COMPASS:
-            box = _direction_box(direction, x, y, w, h, glyph_radius)
+            sx, sy, share = _OFFSETS[direction]
+            box = Rect(*_label_box(x, y, w, h, sx, sy, glyph_radius * share))
             overlap = sum(intersection_area(box, g) for g in glyph_boxes)
             overlap += sum(intersection_area(box, a.box) for a in placed.values())
             if best is None or overlap < best[0]:

@@ -11,7 +11,9 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from dot_checker import check_dot
-from topictree.cli import main
+from topictree.cli import _canvas_from_args, _params_from_args, main, make_parser
+from topictree.layout import CanvasSpec
+from topictree.model import EvolutionParams
 
 
 @pytest.fixture
@@ -345,6 +347,13 @@ class TestFlagFuzz:
                         bad = [v for v in element.attrib.values() if _NON_FINITE.search(v)]
                         assert bad == [], (argv, element.tag, bad)
         assert exits == {0, 3}
+
+
+class TestDefaults:
+    def test_flag_defaults_are_the_model_defaults(self):
+        args = make_parser().parse_args(["run", "--profile", "p.csv", "--tes", "t.csv", "--out-dir", "out"])
+        assert _params_from_args(args) == EvolutionParams()
+        assert _canvas_from_args(args) == CanvasSpec()
 
 
 class TestHelp:

@@ -19,9 +19,11 @@ from topictree.layout import (
     _CELL,
     _CHAR_WIDTH,
     _LINE_HEIGHT,
+    _OFFSETS,
     COMPASS,
     CanvasSpec,
-    _direction_box,
+    _Grid,
+    _label_box,
     axis_ticks,
     compute_layout,
     compute_positions,
@@ -91,23 +93,23 @@ def random_label_input(rng):
 
 class TestPositions:
     def test_fixture_f_position(self, tet_exclusive):
-        positions = compute_positions(tet_exclusive)
+        positions = compute_positions(tet_exclusive, DEFAULT)
         x, y = positions[F]
         assert x == DEFAULT.plot_left + 0.5 * DEFAULT.plot_width  # 2003 is mid-span
         assert y == DEFAULT.plot_bottom - 0.8 * DEFAULT.plot_height
 
     def test_zero_weight_sits_on_axis_floor(self):
         tet = flat_tet([rec(0, 2001, 0.0)])
-        positions = compute_positions(tet)
+        positions = compute_positions(tet, DEFAULT)
         assert positions[0][1] == DEFAULT.plot_bottom
 
     def test_unit_weight_sits_on_top(self):
         tet = flat_tet([rec(0, 2001, 1.0)])
-        assert compute_positions(tet)[0][1] == DEFAULT.plot_top
+        assert compute_positions(tet, DEFAULT)[0][1] == DEFAULT.plot_top
 
     def test_coincident_topics_jittered(self):
         tet = flat_tet([rec(0, 2002, 0.4), rec(1, 2002, 0.4)])
-        positions = compute_positions(tet)
+        positions = compute_positions(tet, DEFAULT)
         (x0, y0), (x1, y1) = positions[0], positions[1]
         assert y0 == y1
         assert x0 != x1
@@ -116,7 +118,7 @@ class TestPositions:
         assert x0 + x1 == pytest.approx(2 * center)
 
     def test_x_monotone_in_year(self, tet_exclusive):
-        positions = compute_positions(tet_exclusive)
+        positions = compute_positions(tet_exclusive, DEFAULT)
         years = {v: tet_exclusive.profile.year_of(v) for v in positions}
         for v in positions:
             for w in positions:
@@ -128,7 +130,7 @@ class TestPositions:
         for _ in range(50):
             profile, matrix, params = random_instance(rng)
             tet = build_tet(profile, matrix, params)
-            positions = compute_positions(tet)
+            positions = compute_positions(tet, DEFAULT)
             for t1 in profile.topics:
                 for t2 in profile.topics:
                     if t1.weight > t2.weight:
@@ -195,7 +197,7 @@ class TestPlaceLabels:
 
     def test_coincident_jittered_nodes_take_different_sides(self):
         tet = flat_tet([rec(0, 2002, 0.4), rec(1, 2002, 0.4)])
-        positions = compute_positions(tet)
+        positions = compute_positions(tet, DEFAULT)
         anchors = place_labels(positions, {0: "first", 1: "second"})
         assert anchors[0].direction != anchors[1].direction
         assert not intersects(anchors[0].box, anchors[1].box)
@@ -208,8 +210,9 @@ class TestPlaceLabels:
             positions = {0: (x, y)}
             for k, other in enumerate(COMPASS, start=1):
                 if other != direction:
-                    box = _direction_box(other, x, y, _CHAR_WIDTH, _LINE_HEIGHT, DEFAULT.glyph_radius)
-                    positions[k] = ((box.x0 + box.x1) / 2, (box.y0 + box.y1) / 2)
+                    sx, sy, share = _OFFSETS[other]
+                    x0, y0, x1, y1 = _label_box(x, y, _CHAR_WIDTH, _LINE_HEIGHT, sx, sy, DEFAULT.glyph_radius * share)
+                    positions[k] = ((x0 + x1) / 2, (y0 + y1) / 2)
             assert place_labels(positions, {0: "x"})[0].direction == direction
 
     def test_grid_matches_all_pairs_scan(self):
@@ -222,6 +225,28 @@ class TestPlaceLabels:
                 (v, a.direction, astuple(a.box)) for v, a in want.items()
             ]
 
+    def test_grid_near_keeps_insertion_order(self):
+        # Overlaps are summed in the all-pairs order, so `near` must return
+        # boxes as they were added: here that differs from cell order, and each
+        # box but the last spans several cells the query shares.
+        boxes = [
+            (150.0, 150.0, 230.0, 170.0),
+            (10.0, 10.0, 20.0, 20.0),
+            (100.0, 20.0, 120.0, 200.0),
+            (-40.0, -40.0, 90.0, 40.0),
+            (300.0, 300.0, 310.0, 310.0),  # no cell in common with the query
+            (30.0, 160.0, 180.0, 230.0),
+        ]
+        grid = _Grid((-4, -4, 12, 12))
+        for box in boxes:
+            grid.add(box)
+        near = [k for k in range(len(boxes)) if k != 4]
+        for split in range(len(boxes) + 1):
+            assert grid.near((0.0, 0.0, 240.0, 240.0), split) == (
+                [boxes[k] for k in near if k < split],
+                [boxes[k] for k in near if k >= split],
+            )
+
     def test_crowded_canvas_matches_all_pairs_scan(self):
         # Hundreds of labels on a few years and weight levels, as on a crowded
         # chart: many boxes share each cell and every direction gets taken.
@@ -229,7 +254,7 @@ class TestPlaceLabels:
         taken = set()
         for _ in range(4):
             profile, matrix, params = crowded_instance(rng)
-            positions = compute_positions(build_tet(profile, matrix, params))
+            positions = compute_positions(build_tet(profile, matrix, params), DEFAULT)
             labels = {t.index: t.display_label for t in profile.topics}
             got = place_labels(positions, labels)
             want = place_labels_bruteforce(positions, labels)
@@ -265,18 +290,18 @@ class TestPlaceLabels:
 
 class TestAxisTicks:
     def test_fixture_year_ticks(self, tet_exclusive):
-        x_ticks, y_ticks = axis_ticks(tet_exclusive)
+        x_ticks, y_ticks = axis_ticks(tet_exclusive, DEFAULT)
         assert [year for year, _ in x_ticks] == [2001, 2002, 2003, 2004, 2005]
         assert [v for v, _ in y_ticks] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_single_year_has_one_tick(self):
         tet = flat_tet([rec(0, 2001, 0.5)])
-        x_ticks, _ = axis_ticks(tet)
+        x_ticks, _ = axis_ticks(tet, DEFAULT)
         assert len(x_ticks) == 1
 
     def test_tick_spacing_linear_in_year_gap(self):
         tet = flat_tet([rec(0, 2001, 0.1), rec(1, 2002, 0.2), rec(2, 2004, 0.3)])
-        x_ticks, _ = axis_ticks(tet)
+        x_ticks, _ = axis_ticks(tet, DEFAULT)
         xs = {year: x for year, x in x_ticks}
         assert xs[2004] - xs[2002] == pytest.approx(2 * (xs[2002] - xs[2001]))
 

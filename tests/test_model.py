@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from helpers import dense, tes_matrix
@@ -161,6 +163,39 @@ class TestTetEdge:
         with pytest.raises(ValueError, match="tes"):
             TetEdge(from_index=0, to_index=1, tes=1.2)
 
+    @pytest.mark.parametrize("tes", [1, -0.0])
+    def test_tes_stored_as_positive_float(self, tes):
+        # as tet_from_json reads it back, so the JSON of the tree round-trips
+        stored = TetEdge(from_index=0, to_index=1, tes=tes).tes
+        assert type(stored) is float and math.copysign(1.0, stored) == 1.0
+
+
+# Each integer field takes exactly what tet_from_json reads: an int, not a
+# bool or a float, or the tree would write JSON it cannot read back.
+_NOT_INTEGERS = [True, 1.0, 1.5, "1"]
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("value", _NOT_INTEGERS)
+    @pytest.mark.parametrize("name", ["index", "year"])
+    def test_topic_record(self, name, value):
+        kw = {"id": "t0", "index": 0, "weight": 0.5, "year": 2000, "words": ("w",), name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            TopicRecord(**kw)
+
+    @pytest.mark.parametrize("value", _NOT_INTEGERS)
+    @pytest.mark.parametrize("name", ["from_index", "to_index"])
+    def test_tet_edge(self, name, value):
+        kw = {"from_index": 0, "to_index": 1, "tes": 0.5, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            TetEdge(**kw)
+
+    @pytest.mark.parametrize("value", _NOT_INTEGERS)
+    @pytest.mark.parametrize("name", ["min_reborn", "min_dead"])
+    def test_evolution_params(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            EvolutionParams(**{name: value})
+
 
 def make_tet(profile, edge_triples):
     edges = tuple(TetEdge(from_index=a, to_index=b, tes=t) for a, b, t in edge_triples)
@@ -223,8 +258,11 @@ class TestTet:
             p,
             [(ROOT_INDEX, 0, 1.0), (0, 1, 0.5), (ROOT_INDEX, 2, 1.0), (1, 3, 0.5), (1, 4, 0.5), (2, 4, 0.5)],
         )
-        assert tet.ancestors_of(1) == {0}  # direct parent; the topic itself is excluded
-        assert tet.ancestors_of(0) == set()  # the root is excluded, and so are descendants
-        assert tet.ancestors_of(2) == set()
-        assert tet.ancestors_of(3) == {0, 1}  # transitive
-        assert tet.ancestors_of(4) == {0, 1, 2}  # union over several parents
+        masks = tet._ancestor_masks
+        ancestors = {v: {u for u in range(len(p)) if masks[v] >> u & 1} for v in range(len(p))}
+        assert all(0 <= mask < 1 << len(p) for mask in masks.values())  # topic bits only
+        assert ancestors[1] == {0}  # direct parent; the topic itself is excluded
+        assert ancestors[0] == set()  # the root is excluded, and so are descendants
+        assert ancestors[2] == set()
+        assert ancestors[3] == {0, 1}  # transitive
+        assert ancestors[4] == {0, 1, 2}  # union over several parents

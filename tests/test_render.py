@@ -10,8 +10,11 @@ from dot_checker import check_dot
 from helpers import crowded_instance, tes_matrix
 from topictree.builder import build_tet
 from topictree.model import (
+    ROOT_INDEX,
     EvolutionParams,
     TemporalTopicProfile,
+    Tet,
+    TetEdge,
     TopicRecord,
 )
 from topictree.render import tet_from_json, to_dot, to_json, to_svg
@@ -177,6 +180,13 @@ class TestJson:
     def test_round_trip_identity(self, tet_exclusive, tet_inclusive):
         for tet in (tet_exclusive, tet_inclusive):
             assert tet_from_json(to_json(tet)) == tet
+
+    def test_integer_tes_round_trips_byte_for_byte(self):
+        topics = tuple(TopicRecord(id=f"t{i}", index=i, weight=0.5, year=2001 + i, words=("w",)) for i in range(2))
+        edges = (TetEdge(from_index=ROOT_INDEX, to_index=0, tes=1), TetEdge(from_index=0, to_index=1, tes=1))
+        tet = Tet(profile=TemporalTopicProfile(topics=topics), edges=edges, params=EvolutionParams())
+        text = to_json(tet)
+        assert to_json(tet_from_json(text)) == text
 
     def test_weights_read_back_exactly(self, tet_exclusive):
         doc = tet_from_json(to_json(tet_exclusive))
