@@ -12,10 +12,12 @@ contemporary entry or an off-unit diagonal is coerced with a warning instead.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import re
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import compress
 
@@ -120,16 +122,33 @@ def _decode(data: bytes, report: ValidationReport) -> str | None:
         return None
 
 
-def _read_rows(text: str, report: ValidationReport) -> list[list[str]] | None:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        rows = list(reader)
-    except csv.Error as exc:
-        report.error(reader.line_num, None, BAD_CSV, f"unreadable CSV: {exc}")
-        return None
-    while rows and rows[-1] == []:
-        rows.pop()
-    return rows
+def _csv_rows(data: bytes) -> Iterator[list[str]]:
+    """The CSV rows of `data`, decoded and read one line at a time.
+
+    Lines end only at ``\\n``. Empty rows are held back until a non-empty
+    row follows, so trailing ones are dropped. Raises
+    :class:`CsvValidationError` with one issue: ``BadEncoding`` if any part
+    of `data` is not UTF-8, even past an unreadable row, else ``BadCsv`` at
+    the first unreadable row.
+    """
+    body = memoryview(data)[3:] if data.startswith(codecs.BOM_UTF8) else data
+    with io.TextIOWrapper(io.BytesIO(body), encoding="utf-8", newline="\n") as text:
+        reader = csv.reader(text)
+        empty = 0
+        try:
+            for row in reader:
+                if not row:
+                    empty += 1
+                    continue
+                for _ in range(empty):
+                    yield []
+                empty = 0
+                yield row
+        except (UnicodeDecodeError, csv.Error) as exc:
+            report = ValidationReport()
+            if _decode(data, report) is not None:
+                report.error(reader.line_num, None, BAD_CSV, f"unreadable CSV: {exc}")
+            raise CsvValidationError(report) from None
 
 
 def _parse_decimal(cell: str) -> float | None:
@@ -174,12 +193,7 @@ def parse_profile(data: bytes) -> tuple[TemporalTopicProfile, ValidationReport]:
     :class:`CsvValidationError` if any row violates the profile contract.
     """
     report = ValidationReport()
-    text = _decode(data, report)
-    if text is None:
-        raise CsvValidationError(report)
-    rows = _read_rows(text, report)
-    if rows is None:
-        raise CsvValidationError(report)
+    rows = list(_csv_rows(data))
     if not rows:
         report.error(1, None, MISSING_HEADER, "file is empty, expected a header row")
         raise CsvValidationError(report)
@@ -299,36 +313,27 @@ def parse_tes(
     :class:`TesMatrix`). A range is checked as a whole first (one join below
     the diagonal, each distinct text above it once, the contemporary cells
     as one slice) and walked cell by cell only when that check fails, so
-    issues come row by row, columns ascending. Raises
-    :class:`CsvValidationError` on any violation that lenient mode cannot
-    coerce.
+    issues come row by row, columns ascending. Rows are checked as the CSV
+    reader yields them, so the working memory is one row plus the nonzero
+    TES kept. A wrong row count, or else any row of the wrong length, is
+    reported alone. Raises :class:`CsvValidationError` on any violation that
+    lenient mode cannot coerce.
     """
-    report = ValidationReport()
-    text = _decode(data, report)
-    if text is None:
-        raise CsvValidationError(report)
-    rows = _read_rows(text, report)
-    if rows is None:
-        raise CsvValidationError(report)
     n = len(profile)
-    if len(rows) != n:
-        report.error(
-            min(len(rows), n) + 1, None, DIMENSION_MISMATCH, f"expected {n} rows, found {len(rows)}"
-        )
-        raise CsvValidationError(report)
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            report.error(i + 1, None, DIMENSION_MISMATCH, f"expected {n} columns, found {len(row)}")
-    if not report.ok:
-        raise CsvValidationError(report)
-
     years = [topic.year for topic in profile.topics]
     columns: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     # A matrix repeats few cell texts (mostly "0"): check each once, and
     # store one float object per distinct text.
     checked: dict[str, float | tuple[str, str]] = {}
-    for i, row in enumerate(rows):
-        rownum = i + 1
+    report = ValidationReport()
+    shape = ValidationReport()  # wrong row lengths, raised without the cell issues
+    rows = 0
+    for i, row in enumerate(_csv_rows(data)):
+        rows = rownum = i + 1
+        if i < n and len(row) != n:
+            shape.error(rownum, None, DIMENSION_MISMATCH, f"expected {n} columns, found {len(row)}")
+        if i >= n or not shape.ok:
+            continue
         if "".join(row[:i]).strip():
             for j in range(i):
                 if row[j].strip():
@@ -370,6 +375,11 @@ def parse_tes(
             elif value:
                 columns[j].append((i, value))
 
+    if rows != n:
+        shape = ValidationReport()
+        shape.error(min(rows, n) + 1, None, DIMENSION_MISMATCH, f"expected {n} rows, found {rows}")
+    if not shape.ok:
+        raise CsvValidationError(shape)
     if not report.ok:
         raise CsvValidationError(report)
     return TesMatrix(columns=tuple(tuple(column) for column in columns)), report

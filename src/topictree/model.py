@@ -33,6 +33,16 @@ def require_int(value: object, where: str) -> int:
     return value
 
 
+def require_number(value: object, where: str) -> float:
+    """`value` as a float if it is a number; booleans and strings are rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{where} is too large, got {value!r}") from None
+
+
 class ThresholdMode(enum.Enum):
     """How a candidate's TES is compared against ``min_tes``."""
 
@@ -77,10 +87,11 @@ class TopicRecord:
         if require_int(self.index, f"topic {self.id!r}: index") < 0:
             raise ValueError(f"topic {self.id!r}: index must be >= 0, got {self.index}")
         require_int(self.year, f"topic {self.id!r}: year")
-        if not 0.0 <= self.weight <= 1.0:
+        weight = require_number(self.weight, f"topic {self.id!r}: weight")
+        if not 0.0 <= weight <= 1.0:
             raise ValueError(f"topic {self.id!r}: weight must be in [0, 1], got {self.weight}")
         # A float, and 0.0 for -0.0, so equal weights write the same JSON.
-        object.__setattr__(self, "weight", self.weight + 0.0)
+        object.__setattr__(self, "weight", weight + 0.0)
         if not self.words:
             raise ValueError(f"topic {self.id!r}: words must be non-empty")
 
@@ -191,10 +202,11 @@ class EvolutionParams:
     threshold_mode: ThresholdMode = ThresholdMode.INCLUSIVE
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.min_tes <= 1.0:
+        min_tes = require_number(self.min_tes, "min_tes")
+        if not 0.0 <= min_tes <= 1.0:
             raise ValueError(f"min_tes must be in [0, 1], got {self.min_tes}")
         # A float, and 0.0 for -0.0, so equal gates write the same JSON.
-        object.__setattr__(self, "min_tes", self.min_tes + 0.0)
+        object.__setattr__(self, "min_tes", min_tes + 0.0)
         if require_int(self.min_reborn, "min_reborn") < 0:
             raise ValueError(f"min_reborn must be >= 0, got {self.min_reborn}")
         if require_int(self.min_dead, "min_dead") < 0:
@@ -222,12 +234,12 @@ class TetEdge:
             raise ValueError(f"from_index must be >= {ROOT_INDEX}, got {self.from_index}")
         if require_int(self.to_index, "to_index") < 0:
             raise ValueError(f"to_index must be >= 0, got {self.to_index}")
-        if not 0.0 <= self.tes <= 1.0:
+        tes = require_number(self.tes, "edge tes")
+        if not 0.0 <= tes <= 1.0:
             raise ValueError(f"edge tes must be in [0, 1], got {self.tes}")
         # A float, and 0.0 for -0.0, so equal strengths write the same JSON.
         # A nonzero float is kept: adding 0.0 would copy it, once per edge.
-        if type(self.tes) is not float or not self.tes:
-            object.__setattr__(self, "tes", self.tes + 0.0)
+        object.__setattr__(self, "tes", tes or 0.0)
         if self.is_root_edge and self.tes != 1.0:
             raise ValueError("root edges carry tes 1")
 

@@ -25,6 +25,7 @@ from .model import (
     ThresholdMode,
     TopicRecord,
     require_int,
+    require_number,
 )
 
 #: Glyph fills: a topic's circle is split vertically, the left half showing
@@ -330,16 +331,6 @@ def to_json(tet: Tet) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _number(value: object, where: str) -> float:
-    """A JSON number as a float; booleans and strings are rejected, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{where} is too large, got {value!r}") from None
-
-
 # A JSON string literal (closed or not) or one bracket; strings are skipped whole.
 # Compiled on first use: only a document too deep to parse needs it.
 _JSON_BRACKET = r'"(?:[^"\\]|\\.)*"?|[\[{\]}]'
@@ -378,7 +369,7 @@ def tet_from_json(text: str) -> Tet:
     try:
         raw_params = doc["params"]
         params = EvolutionParams(
-            min_tes=_number(raw_params["min_tes"], "params.min_tes"),
+            min_tes=require_number(raw_params["min_tes"], "params.min_tes"),
             min_reborn=require_int(raw_params["min_reborn"], "params.min_reborn"),
             min_dead=require_int(raw_params["min_dead"], "params.min_dead"),
             threshold_mode=ThresholdMode(raw_params["threshold_mode"]),
@@ -396,7 +387,7 @@ def tet_from_json(text: str) -> Tet:
             topic = TopicRecord(
                 id=node["id"],
                 index=require_int(node["index"], f"nodes[{i}].index"),
-                weight=_number(node["weight"], f"nodes[{i}].weight"),
+                weight=require_number(node["weight"], f"nodes[{i}].weight"),
                 year=require_int(node["year"], f"nodes[{i}].year"),
                 words=tuple(words),
                 label=label,
@@ -406,7 +397,7 @@ def tet_from_json(text: str) -> Tet:
             TetEdge(
                 from_index=require_int(e["from_index"], f"edges[{k}].from_index"),
                 to_index=require_int(e["to_index"], f"edges[{k}].to_index"),
-                tes=_number(e["tes"], f"edges[{k}].tes"),
+                tes=require_number(e["tes"], f"edges[{k}].tes"),
             )
             for k, e in enumerate(doc["edges"])
         )

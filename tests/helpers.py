@@ -3,7 +3,8 @@
 The re-implementations here (candidate scan over dense columns, ancestor
 closure, brute-force antichain oracle) deliberately avoid the library's code
 paths so they can serve as oracles for it. The TES parser oracle checks cell
-by cell and shares only decoding, CSV reading and number parsing with
+by cell and reads the CSV with its own whole-text reader
+(`read_rows_whole_text`), so it shares only number parsing with
 `parse_tes`. The all-pairs label placement shares the library's
 offset geometry (`_label_box` and `_OFFSETS`) and tie-breaks; it scores `Rect` boxes
 with its own `intersection_area`, and leaves out the library's grid and
@@ -12,6 +13,8 @@ interval test.
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 
 from topictree import ingest
@@ -149,18 +152,44 @@ def independent_candidates(
     return found
 
 
+def read_rows_whole_text(data: bytes) -> list[list[str]]:
+    """CSV reader oracle: decode all of `data`, read every row of the text,
+    then drop the trailing empty rows. Raises `CsvValidationError` with one
+    issue: `BadEncoding` where the decoding fails, else `BadCsv` at the
+    first unreadable row."""
+    report = ValidationReport()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = data[: exc.start].count(b"\n") + 1
+        report.error(line, None, ingest.BAD_ENCODING, f"input is not valid UTF-8 at byte {exc.start}")
+        raise CsvValidationError(report) from None
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        report.error(reader.line_num, None, ingest.BAD_CSV, f"unreadable CSV: {exc}")
+        raise CsvValidationError(report) from None
+    while rows and rows[-1] == []:
+        rows.pop()
+    return rows
+
+
+def rows_or_issues(read, data: bytes) -> list:
+    """The rows `read` gives for `data`, or the errors of the `CsvValidationError` it raises."""
+    try:
+        return list(read(data))
+    except CsvValidationError as exc:
+        return exc.report.errors
+
+
 def parse_tes_dense(
     data: bytes, profile: TemporalTopicProfile, lenient: bool = False
 ) -> tuple[tuple[tuple[float, ...], ...], ValidationReport]:
     """Cell-by-cell TES parser oracle: the same checks and issues as `parse_tes`,
     in the same order, returning dense columns (zeros included) instead of a matrix."""
+    rows = read_rows_whole_text(data)
     report = ValidationReport()
-    text = ingest._decode(data, report)
-    if text is None:
-        raise CsvValidationError(report)
-    rows = ingest._read_rows(text, report)
-    if rows is None:
-        raise CsvValidationError(report)
     n = len(profile)
     if len(rows) != n:
         report.error(

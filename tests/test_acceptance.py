@@ -24,6 +24,8 @@ from helpers import (
     oracle_retained,
     parse_tes_dense,
     random_instance,
+    read_rows_whole_text,
+    rows_or_issues,
     structural_violations,
     tes_matrix,
 )
@@ -274,6 +276,16 @@ def test_criterion_6_ingestion(profile_csv, tes_csv, fixture_profile):
                     assert issue.code and issue.message
                     assert issue.row is not None or issue.column is not None
     print(f"ACCEPTANCE 6: PASS - fixtures parse, 13 error codes triggered, {runs}-input fuzz clean")
+
+
+def test_csv_rows_match_whole_text_reader(profile_csv, tes_csv):
+    rng = random.Random(660066)  # the inputs test_criterion_6_ingestion feeds to both parsers
+    runs = 10_000
+    for _ in range(runs):
+        data = _fuzz_input(rng, profile_csv, tes_csv)
+        rng.random()
+        assert rows_or_issues(ingest._csv_rows, data) == rows_or_issues(read_rows_whole_text, data)
+    print(f"ACCEPTANCE 6: PASS - the streamed row reader equals the whole-text reader on {runs} inputs")
 
 
 def _parse_outcome(parse, data: bytes, profile, lenient: bool):

@@ -1,9 +1,11 @@
+import codecs
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
-from helpers import random_instance
+from helpers import random_instance, read_rows_whole_text, rows_or_issues
 from topictree import ingest
 from topictree.ingest import (
     CsvValidationError,
@@ -13,6 +15,7 @@ from topictree.ingest import (
     profile_to_csv,
     tes_to_csv,
 )
+from topictree.model import TemporalTopicProfile, TesMatrix, TopicRecord
 
 PROFILE_HEADER = b"id,index,label,weight,year,words\n"
 
@@ -332,3 +335,60 @@ class TestParseTes:
         matrix, report = parse_tes("\n".join(rows).encode(), profile, lenient=True)
         assert not report.errors and report.warnings == lenient_warnings
         assert matrix.columns == ((), ((0, 0.2),), (), ((1, 0.7), (2, 0.5)), ((1, 0.6),))
+
+    def test_streamed_parse_costs_less_memory_than_the_csv(self):
+        # 600 x 600, zero above the diagonal: 0.52 MB of CSV, nothing kept.
+        n = 600
+        profile = TemporalTopicProfile(
+            topics=tuple(TopicRecord(id=f"t{i}", index=i, weight=0.5, year=2000, words=("w",)) for i in range(n))
+        )
+        data = tes_to_csv(TesMatrix(columns=((),) * n))
+        tracemalloc.start()
+        try:
+            matrix, report = parse_tes(data, profile)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.columns == ((),) * n and not report.errors and not report.warnings
+        assert peak < len(data)
+
+
+class TestCsvRows:
+    """The row reader both parsers share, against the whole-text reader oracle."""
+
+    def test_carriage_return_does_not_end_a_line(self):
+        data = b"a,b\rc,d\n"
+        issues = rows_or_issues(ingest._csv_rows, data)
+        assert [(issue.row, issue.code) for issue in issues] == [(1, ingest.BAD_CSV)]
+        assert issues == rows_or_issues(read_rows_whole_text, data)
+
+    @pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"])
+    def test_truncated_bom_is_bad_encoding(self, data):
+        issues = rows_or_issues(ingest._csv_rows, data)
+        assert [(issue.row, issue.code) for issue in issues] == [(1, ingest.BAD_ENCODING)]
+        assert issues == rows_or_issues(read_rows_whole_text, data)
+
+    def test_bad_encoding_wins_over_earlier_bad_csv(self):
+        # The bad byte lies beyond the reader's first chunk, after the bad row.
+        data = b"a,b\rc,d\n" + b"0\n" * 10_000 + b"\xff\n"
+        issues = rows_or_issues(ingest._csv_rows, data)
+        assert [(issue.row, issue.code) for issue in issues] == [(10_002, ingest.BAD_ENCODING)]
+        assert issues == rows_or_issues(read_rows_whole_text, data)
+
+    def test_bom_before_matrix(self, fixture_profile, fixture_matrix, tes_csv):
+        matrix, report = parse_tes(codecs.BOM_UTF8 + tes_csv, fixture_profile)
+        assert matrix == fixture_matrix and not report.errors and not report.warnings
+
+    def test_empty_rows_inside_are_rows_and_trailing_ones_are_dropped(self, fixture_profile, fixture_matrix, tes_csv):
+        matrix, _ = parse_tes(tes_csv + b"\n\n\n", fixture_profile)
+        assert matrix == fixture_matrix
+        lines = tes_csv.splitlines(keepends=True)
+        lines[4] = b"\n"
+        with pytest.raises(CsvValidationError) as exc:
+            parse_tes(b"".join(lines), fixture_profile)
+        assert exc.value.report.errors == [
+            ValidationIssue(5, None, ingest.DIMENSION_MISMATCH, "expected 11 columns, found 0")
+        ]
+        assert rows_or_issues(ingest._csv_rows, tes_csv + b"\n\nx\n\n") == rows_or_issues(
+            read_rows_whole_text, tes_csv + b"\n\nx\n\n"
+        )

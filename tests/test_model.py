@@ -197,6 +197,29 @@ class TestIntegerFields:
             EvolutionParams(**{name: value})
 
 
+class TestNumberFields:
+    # Each number field takes an int or a float; a bool or a string is
+    # rejected, not compared or stored as 1.0.
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_topic_record_weight(self, value):
+        with pytest.raises(ValueError, match="weight must be a number"):
+            topic(0, 2001, weight=value)
+
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_tet_edge_tes(self, value):
+        with pytest.raises(ValueError, match="tes must be a number"):
+            TetEdge(from_index=0, to_index=1, tes=value)
+
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_evolution_params_min_tes(self, value):
+        with pytest.raises(ValueError, match="min_tes must be a number"):
+            EvolutionParams(min_tes=value)
+
+    def test_tet_edge_keeps_a_nonzero_float(self):
+        tes = 0.5
+        assert TetEdge(from_index=0, to_index=1, tes=tes).tes is tes
+
+
 def make_tet(profile, edge_triples):
     edges = tuple(TetEdge(from_index=a, to_index=b, tes=t) for a, b, t in edge_triples)
     return Tet(profile=profile, edges=edges, params=EvolutionParams())

@@ -221,6 +221,12 @@ class TestJson:
         with pytest.raises(ValueError):
             tet_from_json(json.dumps(doc))
 
+    def test_bad_number_named_by_its_path(self, tet_exclusive):
+        doc = json.loads(to_json(tet_exclusive))
+        doc["nodes"][0]["weight"] = True
+        with pytest.raises(ValueError, match=r"^nodes\[0\]\.weight must be a number"):
+            tet_from_json(json.dumps(doc))
+
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             tet_from_json("not json at all {")
