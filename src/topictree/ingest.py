@@ -310,9 +310,9 @@ def parse_tes(
     are ignored, with a warning for each one that is not blank; the diagonal
     cell must be blank or 1; the cells above it must hold a TES in [0, 1],
     and 0 between contemporary topics. Only the nonzero TES are stored (see
-    :class:`TesMatrix`). A range is checked as a whole first (one join below
-    the diagonal, each distinct text above it once, the contemporary cells
-    as one slice) and walked cell by cell only when that check fails, so
+    :class:`TesMatrix`). The cells below the diagonal are joined, and walked
+    only when the join is not blank. Above it, each distinct text is checked
+    once, and only the cells with an issue or a nonzero TES are visited, so
     issues come row by row, columns ascending. Rows are checked as the CSV
     reader yields them, so the working memory is one row plus the nonzero
     TES kept. A wrong row count, or else any row of the wrong length, is
@@ -348,32 +348,24 @@ def parse_tes(
             else:
                 report.error(rownum, rownum, DIAGONAL_NOT_ONE, f"diagonal entry must be 1, got {value}")
         later = bisect_right(years, years[i])  # the first position of a later year
-        texts = set(row[i + 1 :])
-        for text in texts.difference(checked):
+        for text in set(row[i + 1 :]).difference(checked):
             checked[text] = _check_tes(text.strip())
-        # Above the diagonal, a range whose texts are all TES and whose
-        # contemporary cells are all 0 is stored whole: only its nonzero cells.
-        all_tes = all(isinstance(checked[text], float) for text in texts)
-        if all_tes and not any(map(checked.get, row[i + 1 : later])):
-            for j in compress(range(later, n), map(checked.get, row[later:])):
-                columns[j].append((i, checked[row[j]]))
-            continue
-        for j in range(i + 1, n):
+        # Only an issue or a nonzero TES is truthy: zero cells are skipped in C.
+        for j in compress(range(i + 1, n), map(checked.get, row[i + 1 :])):
             value = checked[row[j]]
             if isinstance(value, tuple):
                 report.error(rownum, j + 1, *value)
-            elif value and j < later:  # a nonzero TES between contemporary topics
-                if lenient:
-                    report.warning(rownum, j + 1, CONTEMPORARY_NONZERO, f"contemporary TES {value} coerced to 0")
-                else:
-                    report.error(
-                        rownum,
-                        j + 1,
-                        CONTEMPORARY_NONZERO,
-                        f"TES between contemporary topics (year {years[i]}) must be 0, got {value}",
-                    )
-            elif value:
+            elif j >= later:
                 columns[j].append((i, value))
+            elif lenient:  # a nonzero TES between contemporary topics
+                report.warning(rownum, j + 1, CONTEMPORARY_NONZERO, f"contemporary TES {value} coerced to 0")
+            else:
+                report.error(
+                    rownum,
+                    j + 1,
+                    CONTEMPORARY_NONZERO,
+                    f"TES between contemporary topics (year {years[i]}) must be 0, got {value}",
+                )
 
     if rows != n:
         shape = ValidationReport()

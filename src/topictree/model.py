@@ -34,13 +34,31 @@ def require_int(value: object, where: str) -> int:
 
 
 def require_number(value: object, where: str) -> float:
-    """`value` as a float if it is a number; booleans and strings are rejected, not coerced."""
+    """`value` as a float if it is a number; booleans and strings are rejected, not coerced.
+
+    -0.0 comes back as 0.0, so equal numbers write the same JSON. An exact
+    nonzero float comes back as the same object, not a copy.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{where} must be a number, got {value!r}")
     try:
-        return float(value)
+        return float(value) or 0.0
     except OverflowError:
         raise ValueError(f"{where} is too large, got {value!r}") from None
+
+
+def require_str(value: object, where: str) -> str:
+    """`value` if it is a string; numbers and other types are rejected, not coerced."""
+    if not isinstance(value, str):
+        raise ValueError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+def require_words(value: object, where: str) -> tuple[str, ...]:
+    """`value` as a tuple if it is a list or tuple of strings; a bare string is rejected."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(word, str) for word in value):
+        raise ValueError(f"{where} must be a list of strings, got {value!r}")
+    return tuple(value)
 
 
 class ThresholdMode(enum.Enum):
@@ -79,19 +97,20 @@ class TopicRecord:
     label: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.id:
+        if not require_str(self.id, "topic id"):
             raise ValueError("topic id must be non-empty")
+        if self.label is not None:
+            require_str(self.label, f"topic {self.id!r}: label")
         for name, text in (("id", self.id), ("label", self.label or "")):
             if (char := non_xml_char(text)) is not None:
                 raise ValueError(f"topic {self.id!r}: {name} holds U+{ord(char):04X}, which XML cannot carry")
         if require_int(self.index, f"topic {self.id!r}: index") < 0:
             raise ValueError(f"topic {self.id!r}: index must be >= 0, got {self.index}")
         require_int(self.year, f"topic {self.id!r}: year")
-        weight = require_number(self.weight, f"topic {self.id!r}: weight")
-        if not 0.0 <= weight <= 1.0:
+        object.__setattr__(self, "weight", require_number(self.weight, f"topic {self.id!r}: weight"))
+        if not 0.0 <= self.weight <= 1.0:
             raise ValueError(f"topic {self.id!r}: weight must be in [0, 1], got {self.weight}")
-        # A float, and 0.0 for -0.0, so equal weights write the same JSON.
-        object.__setattr__(self, "weight", weight + 0.0)
+        object.__setattr__(self, "words", require_words(self.words, f"topic {self.id!r}: words"))
         if not self.words:
             raise ValueError(f"topic {self.id!r}: words must be non-empty")
 
@@ -202,11 +221,9 @@ class EvolutionParams:
     threshold_mode: ThresholdMode = ThresholdMode.INCLUSIVE
 
     def __post_init__(self) -> None:
-        min_tes = require_number(self.min_tes, "min_tes")
-        if not 0.0 <= min_tes <= 1.0:
+        object.__setattr__(self, "min_tes", require_number(self.min_tes, "min_tes"))
+        if not 0.0 <= self.min_tes <= 1.0:
             raise ValueError(f"min_tes must be in [0, 1], got {self.min_tes}")
-        # A float, and 0.0 for -0.0, so equal gates write the same JSON.
-        object.__setattr__(self, "min_tes", min_tes + 0.0)
         if require_int(self.min_reborn, "min_reborn") < 0:
             raise ValueError(f"min_reborn must be >= 0, got {self.min_reborn}")
         if require_int(self.min_dead, "min_dead") < 0:
@@ -234,12 +251,9 @@ class TetEdge:
             raise ValueError(f"from_index must be >= {ROOT_INDEX}, got {self.from_index}")
         if require_int(self.to_index, "to_index") < 0:
             raise ValueError(f"to_index must be >= 0, got {self.to_index}")
-        tes = require_number(self.tes, "edge tes")
-        if not 0.0 <= tes <= 1.0:
+        object.__setattr__(self, "tes", require_number(self.tes, "edge tes"))
+        if not 0.0 <= self.tes <= 1.0:
             raise ValueError(f"edge tes must be in [0, 1], got {self.tes}")
-        # A float, and 0.0 for -0.0, so equal strengths write the same JSON.
-        # A nonzero float is kept: adding 0.0 would copy it, once per edge.
-        object.__setattr__(self, "tes", tes or 0.0)
         if self.is_root_edge and self.tes != 1.0:
             raise ValueError("root edges carry tes 1")
 

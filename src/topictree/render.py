@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_right
 
 from .ingest import format_number
 from .layout import CanvasSpec, TetLayout, compute_layout
@@ -26,6 +27,8 @@ from .model import (
     TopicRecord,
     require_int,
     require_number,
+    require_str,
+    require_words,
 )
 
 #: Glyph fills: a topic's circle is split vertically, the left half showing
@@ -60,15 +63,7 @@ _FONT = "font-family=\"sans-serif\""
 
 def tes_bin(tes: float) -> tuple[str, str, str]:
     """The :data:`TES_BINS` entry of a TES in [0, 1]; bins are left-closed, the top bin closed."""
-    if tes < 0.2:
-        return TES_BINS[0]
-    if tes < 0.4:
-        return TES_BINS[1]
-    if tes < 0.6:
-        return TES_BINS[2]
-    if tes < 0.8:
-        return TES_BINS[3]
-    return TES_BINS[4]
+    return TES_BINS[bisect_right((0.2, 0.4, 0.6, 0.8), tes)]
 
 
 def _escape(text: str) -> str:
@@ -377,20 +372,13 @@ def tet_from_json(text: str) -> Tet:
         topics = []
         for i, node in enumerate(doc["nodes"]):
             label = node["label"]
-            if label is not None and not isinstance(label, str):
-                raise ValueError(f"nodes[{i}].label must be a string or null, got {label!r}")
-            if not isinstance(node["id"], str):
-                raise ValueError(f"nodes[{i}].id must be a string, got {node['id']!r}")
-            words = node["words"]
-            if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
-                raise ValueError(f"nodes[{i}].words must be a list of strings, got {words!r}")
             topic = TopicRecord(
-                id=node["id"],
+                label=label if label is None else require_str(label, f"nodes[{i}].label"),
+                id=require_str(node["id"], f"nodes[{i}].id"),
+                words=require_words(node["words"], f"nodes[{i}].words"),
                 index=require_int(node["index"], f"nodes[{i}].index"),
                 weight=require_number(node["weight"], f"nodes[{i}].weight"),
                 year=require_int(node["year"], f"nodes[{i}].year"),
-                words=tuple(words),
-                label=label,
             )
             topics.append(topic)
         edges = tuple(

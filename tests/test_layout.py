@@ -161,6 +161,10 @@ class TestTesColor:
             (0.8, "tes-5"),
             (0.9, "tes-5"),
             (1.0, "tes-5"),
+            (math.nextafter(0.2, 0), "tes-1"),
+            (math.nextafter(0.4, 0), "tes-2"),
+            (math.nextafter(0.6, 0), "tes-3"),
+            (math.nextafter(0.8, 0), "tes-4"),
         ],
     )
     def test_bins(self, tes, token):

@@ -220,6 +220,39 @@ class TestNumberFields:
         assert TetEdge(from_index=0, to_index=1, tes=tes).tes is tes
 
 
+class TestTextFields:
+    # Ids, labels and words take only what the JSON document writes back as
+    # the same value: a str for ids and labels, a list or tuple of str for words.
+    def test_words_as_a_bare_string_rejected(self):
+        # A str would be written as its characters, ["a", "b", "c"].
+        with pytest.raises(ValueError, match="words must be a list of strings"):
+            topic(0, 2001, words="abc")
+
+    def test_words_holding_a_number_rejected(self):
+        with pytest.raises(ValueError, match="words must be a list of strings"):
+            topic(0, 2001, words=("x", 3))
+
+    def test_words_list_stored_as_tuple(self):
+        assert topic(0, 2001, words=["a", "b"]).words == ("a", "b")
+
+    def test_integer_id_rejected(self):
+        with pytest.raises(ValueError, match="topic id must be a string, got 7"):
+            topic(0, 2001, id=7)
+
+    def test_integer_label_rejected(self):
+        with pytest.raises(ValueError, match="label must be a string, got 5"):
+            topic(0, 2001, label=5)
+
+    def test_falsy_integer_label_rejected(self):
+        # 0 once passed as "no XML-breaking character" and crashed to_svg.
+        with pytest.raises(ValueError, match="label must be a string, got 0"):
+            topic(0, 2001, label=0)
+
+    def test_number_messages_print_the_stored_float(self):
+        with pytest.raises(ValueError, match=r"weight must be in \[0, 1\], got 2\.0$"):
+            topic(0, 2001, weight=2)
+
+
 def make_tet(profile, edge_triples):
     edges = tuple(TetEdge(from_index=a, to_index=b, tes=t) for a, b, t in edge_triples)
     return Tet(profile=profile, edges=edges, params=EvolutionParams())

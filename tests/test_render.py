@@ -227,6 +227,21 @@ class TestJson:
         with pytest.raises(ValueError, match=r"^nodes\[0\]\.weight must be a number"):
             tet_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("id", 7, "id must be a string"),
+            ("label", 5, "label must be a string"),
+            ("words", "abc", "words must be a list of strings"),
+            ("words", ["x", 3], "words must be a list of strings"),
+        ],
+    )
+    def test_bad_text_named_by_its_path(self, tet_exclusive, field, value, message):
+        doc = json.loads(to_json(tet_exclusive))
+        doc["nodes"][0][field] = value
+        with pytest.raises(ValueError, match=rf"^nodes\[0\]\.{message}"):
+            tet_from_json(json.dumps(doc))
+
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             tet_from_json("not json at all {")
