@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 bad arguments.
 Configuration is flags-only; no environment variables are consulted. Output
-files are written via temp-then-rename so failures never leave partial files;
-an existing device or FIFO is written directly.
+files are written via temp-then-rename, with the mode a plain write would give,
+so failures never leave partial files; an existing device or FIFO is written directly.
 """
 
 from __future__ import annotations
@@ -123,8 +123,12 @@ def _write_text(path: str, text: str) -> None:
         with open(target, "w", encoding="utf-8") as handle:
             handle.write(text)
         return
+    umask = os.umask(0o077)  # reading the umask means setting it
+    os.umask(umask)
+    mode = target.stat().st_mode & 0o7777 if target.exists() else 0o666 & ~umask
     fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
     try:
+        os.chmod(tmp_name, mode)
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp_name, target)

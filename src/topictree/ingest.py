@@ -18,10 +18,9 @@ import io
 import re
 from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from itertools import compress
 
-from .model import TemporalTopicProfile, TesMatrix, TopicRecord, non_xml_char
+from .model import TemporalTopicProfile, TesMatrix, TopicRecord, _Value, non_xml_char
 
 # Profile error codes.
 MISSING_HEADER = "MissingHeader"
@@ -64,14 +63,11 @@ _QUOTE_CHARS = "'\"`"
 _REQUIRED_COLUMNS = ("id", "index", "weight", "year", "words")
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(_Value):
     """One located problem; ``column`` is a field name (profile) or 1-based position (matrix)."""
 
-    row: int | None
-    column: str | int | None
-    code: str
-    message: str
+    def __init__(self, row: int | None, column: str | int | None, code: str, message: str) -> None:
+        self._store(row, column, code, message)
 
     def format(self) -> str:
         where = []
@@ -83,10 +79,14 @@ class ValidationIssue:
         return f"{location}: {self.code}: {self.message}"
 
 
-@dataclass
-class ValidationReport:
-    errors: list[ValidationIssue] = field(default_factory=list)
-    warnings: list[ValidationIssue] = field(default_factory=list)
+class ValidationReport(_Value):
+    """The issues of one parse, filled in as it finds them, so unlike the other values it is mutable."""
+
+    __hash__ = None
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+
+    def __init__(self, errors: list[ValidationIssue] | None = None, warnings: list[ValidationIssue] | None = None) -> None:
+        self._store([] if errors is None else errors, [] if warnings is None else warnings)
 
     def error(self, row: int | None, column: str | int | None, code: str, message: str) -> None:
         self.errors.append(ValidationIssue(row, column, code, message))
@@ -397,15 +397,20 @@ def format_number(value: float) -> str:
 
 
 def profile_to_csv(profile: TemporalTopicProfile) -> bytes:
-    """Serialize a profile back to its CSV form (canonical header order)."""
+    """Serialize a profile back to its CSV form (canonical header order).
+
+    The form has no escapes: an id, label or words that :func:`parse_profile` would read back differently raise ``ValueError``."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["id", "index", "label", "weight", "year", "words"])
     for topic in profile.topics:
         words = "[" + ", ".join(f"'{word}'" for word in topic.words) + "]"
-        writer.writerow(
-            [topic.id, topic.index, topic.label or "", format_number(topic.weight), topic.year, words]
-        )
+        label = topic.label or ""
+        read = {"id": topic.id.strip(), "label": label.strip() or None, "words": _parse_words(words)}
+        for name, value in read.items():
+            if value != getattr(topic, name):
+                raise ValueError(f"topic {topic.id!r}: {name} {getattr(topic, name)!r} would be read back as {value!r}")
+        writer.writerow([topic.id, topic.index, label, format_number(topic.weight), topic.year, words])
     return out.getvalue().encode("utf-8")
 
 

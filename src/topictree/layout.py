@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 
-from .model import Tet
+from .model import Tet, _Value
 
 _DIAG = 0.7071067811865476  # 1/sqrt(2)
 
@@ -42,14 +41,10 @@ _LINE_HEIGHT = 12.0
 _CELL = 32.0
 
 
-@dataclass(frozen=True)
-class CanvasSpec:
+class CanvasSpec(_Value):
     """Abstract canvas: overall size plus margins reserved for axes and legends."""
 
-    width: float = 1000.0
-    height: float = 600.0
-
-    # Fixed for every canvas: unannotated, so they are not dataclass fields.
+    # Fixed for every canvas: class attributes, not fields.
     margin_left = 60.0
     margin_right = 190.0
     margin_top = 30.0
@@ -58,7 +53,8 @@ class CanvasSpec:
     #: Largest width or height: coordinates stay short decimals and box centres cannot overflow.
     max_size = 1e6
 
-    def __post_init__(self) -> None:
+    def __init__(self, width: float = 1000.0, height: float = 600.0) -> None:
+        self._store(width, height)
         # written so that NaN fails it too
         if not (self.width <= self.max_size and self.height <= self.max_size):
             raise ValueError(f"canvas sizes must be finite and at most {self.max_size:g}")
@@ -90,29 +86,24 @@ class CanvasSpec:
         return self.plot_bottom - self.plot_top
 
 
-@dataclass(frozen=True)
-class Rect:
-    x0: float
-    y0: float
-    x1: float
-    y1: float
+class Rect(_Value):
+    def __init__(self, x0: float, y0: float, x1: float, y1: float) -> None:
+        self._store(x0, y0, x1, y1)
 
 
-@dataclass(frozen=True)
-class LabelAnchor:
+class LabelAnchor(_Value):
     """Chosen compass offset and the final label bounding box."""
 
-    direction: str
-    box: Rect
+    def __init__(self, direction: str, box: Rect) -> None:
+        self._store(direction, box)
 
 
-@dataclass(frozen=True)
-class TetLayout:
-    positions: dict[int, tuple[float, float]]
-    label_anchors: dict[int, LabelAnchor]
-    x_ticks: list[tuple[int, float]]
-    y_ticks: list[tuple[float, float]]
-    canvas: CanvasSpec
+class TetLayout(_Value):
+    def __init__(
+        self, positions: dict[int, tuple[float, float]], label_anchors: dict[int, LabelAnchor],
+        x_ticks: list[tuple[int, float]], y_ticks: list[tuple[float, float]], canvas: CanvasSpec,
+    ) -> None:
+        self._store(positions, label_anchors, x_ticks, y_ticks, canvas)
 
 
 def _x_of_year(year: int, years: tuple[int, ...], canvas: CanvasSpec) -> float:

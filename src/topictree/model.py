@@ -1,7 +1,7 @@
 """Core domain types shared by ingestion, construction, classification and rendering.
 
-All values are immutable after construction; every constructor validates its
-own invariants and raises ``ValueError`` on violation.
+All values are immutable after construction and compare, hash and print by their
+fields; every constructor validates its own invariants and raises ``ValueError`` on violation.
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from __future__ import annotations
 import enum
 import re
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from functools import cached_property
 
 #: Index of the artificial root node. The root carries no year, weight or
@@ -61,6 +60,41 @@ def require_words(value: object, where: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+class _Value:
+    """An immutable value whose fields are its ``__init__`` parameters, in order; it is
+    compared, hashed and shown as ``Name(field=value, ...)`` by them alone."""
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _store(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
 class ThresholdMode(enum.Enum):
     """How a candidate's TES is compared against ``min_tes``."""
 
@@ -85,34 +119,29 @@ class EvolvingState(enum.Enum):
     FLOURISHING = "flourishing"
 
 
-@dataclass(frozen=True)
-class TopicRecord:
+class TopicRecord(_Value):
     """One time-stamped topic: identity, importance weight and top terms."""
 
-    id: str
-    index: int
-    weight: float
-    year: int
-    words: tuple[str, ...]
-    label: str | None = None
-
-    def __post_init__(self) -> None:
-        if not require_str(self.id, "topic id"):
+    def __init__(
+        self, id: str, index: int, weight: float, year: int, words: tuple[str, ...], label: str | None = None
+    ) -> None:
+        if not require_str(id, "topic id"):
             raise ValueError("topic id must be non-empty")
-        if self.label is not None:
-            require_str(self.label, f"topic {self.id!r}: label")
-        for name, text in (("id", self.id), ("label", self.label or "")):
+        if label is not None:
+            require_str(label, f"topic {id!r}: label")
+        for name, text in (("id", id), ("label", label or "")):
             if (char := non_xml_char(text)) is not None:
-                raise ValueError(f"topic {self.id!r}: {name} holds U+{ord(char):04X}, which XML cannot carry")
-        if require_int(self.index, f"topic {self.id!r}: index") < 0:
-            raise ValueError(f"topic {self.id!r}: index must be >= 0, got {self.index}")
-        require_int(self.year, f"topic {self.id!r}: year")
-        object.__setattr__(self, "weight", require_number(self.weight, f"topic {self.id!r}: weight"))
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError(f"topic {self.id!r}: weight must be in [0, 1], got {self.weight}")
-        object.__setattr__(self, "words", require_words(self.words, f"topic {self.id!r}: words"))
-        if not self.words:
-            raise ValueError(f"topic {self.id!r}: words must be non-empty")
+                raise ValueError(f"topic {id!r}: {name} holds U+{ord(char):04X}, which XML cannot carry")
+        if require_int(index, f"topic {id!r}: index") < 0:
+            raise ValueError(f"topic {id!r}: index must be >= 0, got {index}")
+        require_int(year, f"topic {id!r}: year")
+        weight = require_number(weight, f"topic {id!r}: weight")
+        if not 0.0 <= weight <= 1.0:
+            raise ValueError(f"topic {id!r}: weight must be in [0, 1], got {weight}")
+        words = require_words(words, f"topic {id!r}: words")
+        if not words:
+            raise ValueError(f"topic {id!r}: words must be non-empty")
+        self._store(id, index, weight, year, words, label)
 
     @property
     def display_label(self) -> str:
@@ -120,8 +149,7 @@ class TopicRecord:
         return self.label if self.label is not None else self.id
 
 
-@dataclass(frozen=True)
-class TemporalTopicProfile:
+class TemporalTopicProfile(_Value):
     """Ordered collection of time-stamped topics.
 
     Topics are kept sorted ascending by (year, index); this order is also the
@@ -129,23 +157,22 @@ class TemporalTopicProfile:
     topics' identity (exactly 0..N-1) and need not coincide with positions.
     """
 
-    topics: tuple[TopicRecord, ...]
-
-    def __post_init__(self) -> None:
-        if not self.topics:
+    def __init__(self, topics: tuple[TopicRecord, ...]) -> None:
+        if not topics:
             raise ValueError("profile must contain at least one topic")
-        n = len(self.topics)
-        indices = [t.index for t in self.topics]
+        n = len(topics)
+        indices = [t.index for t in topics]
         if len(set(indices)) != n:
             raise ValueError("topic indices must be unique")
         if set(indices) != set(range(n)):
             raise ValueError(f"topic indices must be exactly 0..{n - 1}")
-        ids = [t.id for t in self.topics]
+        ids = [t.id for t in topics]
         if len(set(ids)) != n:
             raise ValueError("topic ids must be unique")
-        keys = [(t.year, t.index) for t in self.topics]
+        keys = [(t.year, t.index) for t in topics]
         if keys != sorted(keys):
             raise ValueError("topics must be sorted ascending by (year, index)")
+        self._store(topics)
 
     def __len__(self) -> int:
         return len(self.topics)
@@ -175,8 +202,7 @@ class TemporalTopicProfile:
         return self.topics[self._position_by_index[index]].year
 
 
-@dataclass(frozen=True)
-class TesMatrix:
+class TesMatrix(_Value):
     """Evolution strengths of older topics towards newer ones, nonzero cells only.
 
     ``columns[j]`` lists the ``(i, tes)`` pairs of column `j`: the TES of the
@@ -186,12 +212,10 @@ class TesMatrix:
     cells. Positions follow the profile's (year, index) order.
     """
 
-    columns: tuple[tuple[tuple[int, float], ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.columns:
+    def __init__(self, columns: tuple[tuple[tuple[int, float], ...], ...]) -> None:
+        if not columns:
             raise ValueError("matrix must hold at least one topic")
-        for j, column in enumerate(self.columns):
+        for j, column in enumerate(columns):
             previous = -1
             for i, tes in column:
                 if not (isinstance(i, int) and previous < i < j):
@@ -201,6 +225,7 @@ class TesMatrix:
                 if not 0.0 < tes <= 1.0:
                     raise ValueError(f"matrix entry ({i}, {j}) must be in (0, 1], got {tes}")
                 previous = i
+        self._store(columns)
 
     @property
     def n(self) -> int:
@@ -208,28 +233,25 @@ class TesMatrix:
         return len(self.columns)
 
 
-@dataclass(frozen=True)
-class EvolutionParams:
+class EvolutionParams(_Value):
     """Thresholds controlling tree construction and state classification.
 
     Defaults reproduce the reference example without tuning.
     """
 
-    min_tes: float = 0.2
-    min_reborn: int = 2
-    min_dead: int = 1
-    threshold_mode: ThresholdMode = ThresholdMode.INCLUSIVE
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "min_tes", require_number(self.min_tes, "min_tes"))
-        if not 0.0 <= self.min_tes <= 1.0:
-            raise ValueError(f"min_tes must be in [0, 1], got {self.min_tes}")
-        if require_int(self.min_reborn, "min_reborn") < 0:
-            raise ValueError(f"min_reborn must be >= 0, got {self.min_reborn}")
-        if require_int(self.min_dead, "min_dead") < 0:
-            raise ValueError(f"min_dead must be >= 0, got {self.min_dead}")
-        if not isinstance(self.threshold_mode, ThresholdMode):
-            raise ValueError(f"threshold_mode must be a ThresholdMode, got {self.threshold_mode!r}")
+    def __init__(
+        self, min_tes: float = 0.2, min_reborn: int = 2, min_dead: int = 1, threshold_mode: ThresholdMode = ThresholdMode.INCLUSIVE
+    ) -> None:
+        min_tes = require_number(min_tes, "min_tes")
+        if not 0.0 <= min_tes <= 1.0:
+            raise ValueError(f"min_tes must be in [0, 1], got {min_tes}")
+        if require_int(min_reborn, "min_reborn") < 0:
+            raise ValueError(f"min_reborn must be >= 0, got {min_reborn}")
+        if require_int(min_dead, "min_dead") < 0:
+            raise ValueError(f"min_dead must be >= 0, got {min_dead}")
+        if not isinstance(threshold_mode, ThresholdMode):
+            raise ValueError(f"threshold_mode must be a ThresholdMode, got {threshold_mode!r}")
+        self._store(min_tes, min_reborn, min_dead, threshold_mode)
 
     def admits(self, tes: float) -> bool:
         """Whether a TES value passes the min_tes gate under the configured mode."""
@@ -238,24 +260,20 @@ class EvolutionParams:
         return tes > self.min_tes
 
 
-@dataclass(frozen=True)
-class TetEdge:
+class TetEdge(_Value):
     """Directed ancestry edge; ``from_index`` is ROOT_INDEX for root edges."""
 
-    from_index: int
-    to_index: int
-    tes: float
-
-    def __post_init__(self) -> None:
-        if require_int(self.from_index, "from_index") < ROOT_INDEX:
-            raise ValueError(f"from_index must be >= {ROOT_INDEX}, got {self.from_index}")
-        if require_int(self.to_index, "to_index") < 0:
-            raise ValueError(f"to_index must be >= 0, got {self.to_index}")
-        object.__setattr__(self, "tes", require_number(self.tes, "edge tes"))
-        if not 0.0 <= self.tes <= 1.0:
-            raise ValueError(f"edge tes must be in [0, 1], got {self.tes}")
-        if self.is_root_edge and self.tes != 1.0:
+    def __init__(self, from_index: int, to_index: int, tes: float) -> None:
+        if require_int(from_index, "from_index") < ROOT_INDEX:
+            raise ValueError(f"from_index must be >= {ROOT_INDEX}, got {from_index}")
+        if require_int(to_index, "to_index") < 0:
+            raise ValueError(f"to_index must be >= 0, got {to_index}")
+        tes = require_number(tes, "edge tes")
+        if not 0.0 <= tes <= 1.0:
+            raise ValueError(f"edge tes must be in [0, 1], got {tes}")
+        if from_index == ROOT_INDEX and tes != 1.0:
             raise ValueError("root edges carry tes 1")
+        self._store(from_index, to_index, tes)
 
     @property
     def is_root_edge(self) -> bool:
@@ -276,8 +294,7 @@ def ancestor_mask(anc: Mapping[int, int], parents: Iterable[int]) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class Tet:
+class Tet(_Value):
     """Topic evolution tree: a rooted genealogy of topics.
 
     Despite the name this is a rooted DAG, not a strict tree: a fused topic
@@ -287,11 +304,8 @@ class Tet:
     years and the params; see :attr:`states`.
     """
 
-    profile: TemporalTopicProfile
-    edges: tuple[TetEdge, ...]
-    params: EvolutionParams
-
-    def __post_init__(self) -> None:
+    def __init__(self, profile: TemporalTopicProfile, edges: tuple[TetEdge, ...], params: EvolutionParams) -> None:
+        self._store(profile, edges, params)
         valid = {t.index for t in self.profile.topics}
         seen: set[tuple[int, int]] = set()
         for e in self.edges:

@@ -162,6 +162,29 @@ class TestParseProfile:
         assert again == profile
         assert not report.warnings
 
+    def test_random_profiles_round_trip(self):
+        rng = random.Random(1303)
+        for _ in range(300):
+            profile = random_instance(rng)[0]
+            assert parse_profile(profile_to_csv(profile))[0] == profile
+
+    @pytest.mark.parametrize(
+        "field, kw",
+        [
+            ("words", {"words": ("a,b",)}),
+            ("words", {"words": ("",)}),
+            ("words", {"words": ("'a",)}),
+            ("words", {"words": ("a`",)}),
+            ("id", {"id": " t0"}),
+            ("label", {"label": " L"}),
+            ("label", {"label": ""}),
+        ],
+    )
+    def test_unreadable_text_is_refused(self, field, kw):
+        record = TopicRecord(**{"id": "t0", "index": 0, "weight": 0.5, "year": 2001, "words": ("w",), **kw})
+        with pytest.raises(ValueError, match=rf"^topic {record.id!r}: {field} "):
+            profile_to_csv(TemporalTopicProfile((record,)))
+
 
 class TestParseTes:
     def test_fixture(self, tes_csv, fixture_profile):

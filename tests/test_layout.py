@@ -2,7 +2,6 @@ import math
 import random
 import tracemalloc
 import xml.etree.ElementTree as ET
-from dataclasses import astuple
 
 import pytest
 
@@ -225,8 +224,8 @@ class TestPlaceLabels:
             positions, labels = random_label_input(rng)
             got = place_labels(positions, labels)
             want = place_labels_bruteforce(positions, labels)
-            assert [(v, a.direction, astuple(a.box)) for v, a in got.items()] == [
-                (v, a.direction, astuple(a.box)) for v, a in want.items()
+            assert [(v, a.direction, (a.box.x0, a.box.y0, a.box.x1, a.box.y1)) for v, a in got.items()] == [
+                (v, a.direction, (a.box.x0, a.box.y0, a.box.x1, a.box.y1)) for v, a in want.items()
             ]
 
     def test_grid_near_keeps_insertion_order(self):
@@ -262,8 +261,8 @@ class TestPlaceLabels:
             labels = {t.index: t.display_label for t in profile.topics}
             got = place_labels(positions, labels)
             want = place_labels_bruteforce(positions, labels)
-            assert [(v, a.direction, astuple(a.box)) for v, a in got.items()] == [
-                (v, a.direction, astuple(a.box)) for v, a in want.items()
+            assert [(v, a.direction, (a.box.x0, a.box.y0, a.box.x1, a.box.y1)) for v, a in got.items()] == [
+                (v, a.direction, (a.box.x0, a.box.y0, a.box.x1, a.box.y1)) for v, a in want.items()
             ]
             taken |= {a.direction for a in got.values()}
         assert taken == set(COMPASS)
@@ -280,8 +279,8 @@ class TestPlaceLabels:
             tracemalloc.stop()
         assert peak < 20 * 2**20
         want = place_labels_bruteforce(positions, labels)
-        assert [(v, a.direction, astuple(a.box)) for v, a in got.items()] == [
-            (v, a.direction, astuple(a.box)) for v, a in want.items()
+        assert [(v, a.direction, (a.box.x0, a.box.y0, a.box.x1, a.box.y1)) for v, a in got.items()] == [
+            (v, a.direction, (a.box.x0, a.box.y0, a.box.x1, a.box.y1)) for v, a in want.items()
         ]
 
     def test_font_metrics_scale_box(self):
