@@ -113,10 +113,12 @@ def _write_text(path: str, text: str) -> None:
     """Write atomically: temp file in the target directory, then rename.
 
     An existing target that is not a regular file (a device, a FIFO) is
-    written directly, since renaming over it would replace it.
+    written directly, since renaming over it would replace it. Standard
+    output gets UTF-8, as a file does, whatever the locale's encoding.
     """
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
         return
     target = Path(path)
     if target.exists() and not target.is_file():

@@ -13,6 +13,7 @@ import json
 import math
 import re
 from bisect import bisect_right
+from json.encoder import encode_basestring_ascii
 
 from .ingest import format_number
 from .layout import CanvasSpec, TetLayout, compute_layout
@@ -297,33 +298,35 @@ def to_dot(tet: Tet, show_root: bool = False) -> str:
 
 
 def to_json(tet: Tet) -> str:
-    """Canonical JSON document; fixed key order, lossless round-trip."""
-    doc = {
-        "params": {
-            "min_tes": tet.params.min_tes,
-            "min_reborn": tet.params.min_reborn,
-            "min_dead": tet.params.min_dead,
-            "threshold_mode": tet.params.threshold_mode.value,
-        },
-        "latest_year": tet.latest_year,
-        "nodes": [
-            {
-                "id": topic.id,
-                "index": topic.index,
-                "label": topic.label,
-                "year": topic.year,
-                "weight": topic.weight,
-                "words": list(topic.words),
-                "emerging_state": tet.states[topic.index][0].value,
-                "evolving_state": tet.states[topic.index][1].value,
-            }
-            for topic in tet.profile.topics
-        ],
-        "edges": [
-            {"from_index": e.from_index, "to_index": e.to_index, "tes": e.tes} for e in tet.edges
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Canonical JSON document; fixed key order, lossless round-trip.
+
+    The bytes are those of ``json.dumps(doc, indent=2)``, written from one
+    template per node and per edge with the primitives that encoder uses.
+    """
+    s, i, f = encode_basestring_ascii, int.__repr__, float.__repr__
+    p = tet.params
+    parts = [
+        f'{{\n  "params": {{\n    "min_tes": {f(p.min_tes)},\n    "min_reborn": {i(p.min_reborn)},\n'
+        f'    "min_dead": {i(p.min_dead)},\n    "threshold_mode": {s(p.threshold_mode.value)}\n  }},\n'
+        f'  "latest_year": {i(tet.latest_year)},\n  "nodes": [\n'
+    ]
+    # The model guarantees non-empty nodes, edges and words, so no list is ever written as [].
+    for t in tet.profile.topics:
+        emerging, evolving = tet.states[t.index]
+        label = "null" if t.label is None else s(t.label)
+        words = ",\n        ".join(map(s, t.words))
+        record = (
+            f'    {{\n      "id": {s(t.id)},\n      "index": {i(t.index)},\n      "label": {label},\n'
+            f'      "year": {i(t.year)},\n      "weight": {f(t.weight)},\n      "words": [\n        {words}\n      ],\n'
+            f'      "emerging_state": {s(emerging.value)},\n      "evolving_state": {s(evolving.value)}\n    }}'
+        )
+        parts += (record, ",\n")
+    parts[-1] = '\n  ],\n  "edges": [\n'  # the last separator closes the list
+    for e in tet.edges:
+        record = f'    {{\n      "from_index": {i(e.from_index)},\n      "to_index": {i(e.to_index)},\n      "tes": {f(e.tes)}\n    }}'
+        parts += (record, ",\n")
+    parts[-1] = "\n  ]\n}\n"  # the last separator closes the list
+    return "".join(parts)
 
 
 # A JSON string literal (closed or not) or one bracket; strings are skipped whole.

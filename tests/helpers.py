@@ -5,16 +5,18 @@ closure, brute-force antichain oracle) deliberately avoid the library's code
 paths so they can serve as oracles for it. The TES parser oracle checks cell
 by cell and reads the CSV with its own whole-text reader
 (`read_rows_whole_text`), so it shares only number parsing with
-`parse_tes`. The all-pairs label placement shares the library's
-offset geometry (`_label_box` and `_OFFSETS`) and tie-breaks; it scores `Rect` boxes
-with its own `intersection_area`, and leaves out the library's grid and
-interval test.
+`parse_tes`. The tree JSON oracle (`to_json_reference`) builds the
+document as dicts and hands it to `json.dumps`. The all-pairs label
+placement shares the library's offset geometry (`_label_box` and
+`_OFFSETS`) and tie-breaks; it scores `Rect` boxes with its own
+`intersection_area`, and leaves out the library's grid and interval test.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import random
 
 from topictree import ingest
@@ -33,6 +35,7 @@ from topictree.model import (
     EvolutionParams,
     TemporalTopicProfile,
     TesMatrix,
+    Tet,
     ThresholdMode,
     TopicRecord,
 )
@@ -249,6 +252,37 @@ def parse_tes_dense(
     if not report.ok:
         raise CsvValidationError(report)
     return tuple(tuple(column) for column in columns), report
+
+
+def to_json_reference(tet: Tet) -> str:
+    """Tree JSON oracle: the document as dicts in the fixed key order, written by
+    `json.dumps(doc, indent=2)` plus a final newline."""
+    doc = {
+        "params": {
+            "min_tes": tet.params.min_tes,
+            "min_reborn": tet.params.min_reborn,
+            "min_dead": tet.params.min_dead,
+            "threshold_mode": tet.params.threshold_mode.value,
+        },
+        "latest_year": tet.latest_year,
+        "nodes": [
+            {
+                "id": topic.id,
+                "index": topic.index,
+                "label": topic.label,
+                "year": topic.year,
+                "weight": topic.weight,
+                "words": list(topic.words),
+                "emerging_state": tet.states[topic.index][0].value,
+                "evolving_state": tet.states[topic.index][1].value,
+            }
+            for topic in tet.profile.topics
+        ],
+        "edges": [
+            {"from_index": e.from_index, "to_index": e.to_index, "tes": e.tes} for e in tet.edges
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def independent_ancestors(edge_pairs: set[tuple[int, int]], u: int) -> set[int]:

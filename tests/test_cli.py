@@ -191,6 +191,32 @@ MALFORMED_TREES = {
 }
 
 
+class TestStdout:
+    def test_stdout_is_utf8_whatever_the_locale(self, tmp_path):
+        # a latin-1 stdout can carry "café" only in the wrong bytes, and "日本" not at all
+        profile, tes, tree = tmp_path / "profile.csv", tmp_path / "tes.csv", tmp_path / "tet.json"
+        profile.write_text(
+            "id,index,label,weight,year,words\n"
+            "x,0,café,0.5,2001,\"['thé']\"\n"
+            "y,1,日本,0.25,2002,\"['語']\"\n",
+            encoding="utf-8",
+        )
+        tes.write_bytes(b"1,0.5\n,1\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONIOENCODING": "latin-1"}
+
+        def cli(*args):
+            return subprocess.run([sys.executable, "-m", "topictree.cli", *args], capture_output=True, env=env)
+
+        assert cli(*build_args(profile, tes, "--out", str(tree))).returncode == 0
+        render = ["render", "--tet", str(tree), "--format"]
+        for k, args in enumerate([build_args(profile, tes), [*render, "svg"], [*render, "dot"]]):
+            out = tmp_path / f"out{k}"
+            assert cli(*args, "--out", str(out)).returncode == 0
+            piped = cli(*args, "--out", "-")
+            assert piped.returncode == 0, piped.stderr
+            assert piped.stdout == out.read_bytes()
+
+
 @pytest.fixture
 def tet_json_path(fixture_paths, tmp_path):
     profile, tes = fixture_paths
