@@ -117,6 +117,8 @@ def _write_text(path: str, text: str) -> None:
     output gets UTF-8, as a file does, whatever the locale's encoding.
     """
     if path == "-":
+        if sys.stdout is None:  # started with file descriptor 1 closed
+            raise OSError("standard output is closed")
         sys.stdout.flush()
         sys.stdout.buffer.write(text.encode("utf-8"))
         return

@@ -161,10 +161,10 @@ class TemporalTopicProfile(_Value):
         if not topics:
             raise ValueError("profile must contain at least one topic")
         n = len(topics)
-        indices = [t.index for t in topics]
-        if len(set(indices)) != n:
+        position = {t.index: pos for pos, t in enumerate(topics)}
+        if len(position) != n:
             raise ValueError("topic indices must be unique")
-        if set(indices) != set(range(n)):
+        if position.keys() != set(range(n)):
             raise ValueError(f"topic indices must be exactly 0..{n - 1}")
         ids = [t.id for t in topics]
         if len(set(ids)) != n:
@@ -173,6 +173,7 @@ class TemporalTopicProfile(_Value):
         if keys != sorted(keys):
             raise ValueError("topics must be sorted ascending by (year, index)")
         self._store(topics)
+        object.__setattr__(self, "_position_by_index", position)
 
     def __len__(self) -> int:
         return len(self.topics)
@@ -185,10 +186,6 @@ class TemporalTopicProfile(_Value):
     @cached_property
     def latest_year(self) -> int:
         return self.distinct_years[-1]
-
-    @cached_property
-    def _position_by_index(self) -> dict[int, int]:
-        return {t.index: pos for pos, t in enumerate(self.topics)}
 
     def topic(self, index: int) -> TopicRecord:
         """The topic with identity `index` (not profile position)."""
@@ -218,10 +215,12 @@ class TesMatrix(_Value):
         for j, column in enumerate(columns):
             previous = -1
             for i, tes in column:
-                if not (isinstance(i, int) and previous < i < j):
+                if not (type(i) is int and previous < i < j):
                     raise ValueError(
                         f"column {j}: position {i!r} must be an integer above {previous} and below {j}"
                     )
+                if type(tes) is not float:
+                    require_number(tes, f"matrix entry ({i}, {j})")
                 if not 0.0 < tes <= 1.0:
                     raise ValueError(f"matrix entry ({i}, {j}) must be in (0, 1], got {tes}")
                 previous = i
@@ -306,56 +305,50 @@ class Tet(_Value):
 
     def __init__(self, profile: TemporalTopicProfile, edges: tuple[TetEdge, ...], params: EvolutionParams) -> None:
         self._store(profile, edges, params)
-        valid = {t.index for t in self.profile.topics}
+        parents: dict[int, list[int]] = {t.index: [] for t in profile.topics}
         seen: set[tuple[int, int]] = set()
-        for e in self.edges:
-            if e.to_index not in valid:
+        for e in edges:
+            if e.to_index not in parents:
                 raise ValueError(f"edge targets unknown topic index {e.to_index}")
             if not e.is_root_edge:
-                if e.from_index not in valid:
+                if e.from_index not in parents:
                     raise ValueError(f"edge leaves unknown topic index {e.from_index}")
-                if self.profile.year_of(e.from_index) >= self.profile.year_of(e.to_index):
-                    raise ValueError(
-                        f"edge {e.from_index}->{e.to_index} does not advance in time"
-                    )
-                if not self.params.admits(e.tes):
+                if profile.year_of(e.from_index) >= profile.year_of(e.to_index):
+                    raise ValueError(f"edge {e.from_index}->{e.to_index} does not advance in time")
+                if not params.admits(e.tes):
                     raise ValueError(
                         f"edge {e.from_index}->{e.to_index} carries tes {e.tes}, "
                         f"which fails the min_tes gate"
                     )
+                parents[e.to_index].append(e.from_index)
             if (e.from_index, e.to_index) in seen:
                 raise ValueError(f"duplicate edge {e.from_index}->{e.to_index}")
             seen.add((e.from_index, e.to_index))
-        for v in valid:
+        # Indices are exactly 0..N-1, so both checks run in ascending index.
+        for v in range(len(parents)):
             has_root = (ROOT_INDEX, v) in seen
-            parent_count = len(self.parents_of(v))
-            if has_root and parent_count:
+            if has_root and parents[v]:
                 raise ValueError(f"topic {v} has both a root edge and parents")
-            if not has_root and not parent_count:
+            if not has_root and not parents[v]:
                 raise ValueError(f"topic {v} is unreachable from the root")
-        anc = self._ancestor_masks
-        for v in valid:
-            parents = self.parents_of(v)
-            parent_bits = sum(1 << p for p in parents)
-            for b in parents:
+        # Profile order visits every parent before its children.
+        anc: dict[int, int] = {}
+        for t in profile.topics:
+            anc[t.index] = ancestor_mask(anc, parents[t.index])
+        for v in range(len(parents)):
+            parent_bits = sum(1 << p for p in parents[v])
+            for b in parents[v]:
                 if shared := anc[b] & parent_bits:
                     raise ValueError(
                         f"parents {shared.bit_length() - 1} and {b} of topic {v} "
                         f"lie on the same pathway"
                     )
+        object.__setattr__(self, "_parents", {v: tuple(ps) for v, ps in parents.items()})
 
     @property
     def latest_year(self) -> int:
         """The profile's latest year; the dead gate counts trailing years up to it."""
         return self.profile.latest_year
-
-    @cached_property
-    def _parent_map(self) -> dict[int, tuple[int, ...]]:
-        parents: dict[int, list[int]] = {t.index: [] for t in self.profile.topics}
-        for e in self.edges:
-            if not e.is_root_edge:
-                parents[e.to_index].append(e.from_index)
-        return {v: tuple(ps) for v, ps in parents.items()}
 
     @cached_property
     def _child_map(self) -> dict[int, tuple[int, ...]]:
@@ -364,14 +357,6 @@ class Tet(_Value):
             if not e.is_root_edge:
                 children[e.from_index].append(e.to_index)
         return {v: tuple(cs) for v, cs in children.items()}
-
-    @cached_property
-    def _ancestor_masks(self) -> dict[int, int]:
-        # Profile order visits every parent before its children.
-        anc: dict[int, int] = {}
-        for t in self.profile.topics:
-            anc[t.index] = ancestor_mask(anc, self._parent_map[t.index])
-        return anc
 
     @cached_property
     def states(self) -> dict[int, tuple[EmergingState, EvolvingState]]:
@@ -387,7 +372,7 @@ class Tet(_Value):
 
     def parents_of(self, v: int) -> tuple[int, ...]:
         """Non-root parents of topic `v`, in edge order."""
-        return self._parent_map[v]
+        return self._parents[v]
 
     def children_of(self, v: int) -> tuple[int, ...]:
         return self._child_map[v]

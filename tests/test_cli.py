@@ -216,6 +216,15 @@ class TestStdout:
             assert piped.returncode == 0, piped.stderr
             assert piped.stdout == out.read_bytes()
 
+    def test_closed_stdout_is_an_io_error(self, fixture_paths, tet_json_path):
+        # the child closes its file descriptor 1, then runs the CLI in its place
+        exec_cli = "import os, sys; os.close(1); os.execv(sys.executable, [sys.executable, '-m', 'topictree.cli', *sys.argv[1:]])"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        for args in (build_args(*fixture_paths), ["render", "--tet", str(tet_json_path)]):
+            proc = subprocess.run([sys.executable, "-c", exec_cli, *args, "--out", "-"], capture_output=True, text=True, env=env)
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr == "topictree: i/o error: standard output is closed\n"
+
 
 @pytest.fixture
 def tet_json_path(fixture_paths, tmp_path):

@@ -12,6 +12,7 @@ from topictree.model import (
     TetEdge,
     ThresholdMode,
     TopicRecord,
+    ancestor_mask,
 )
 
 
@@ -116,6 +117,14 @@ class TestTesMatrix:
         for tes in (0.0, -0.0, -0.5):
             with pytest.raises(ValueError, match=r"\(0, 1\]"):
                 TesMatrix(columns=((), ((0, tes),)))
+
+    def test_odd_types_rejected(self):
+        for tes in ("0.5", None, True):
+            with pytest.raises(ValueError, match=r"^matrix entry \(0, 1\) must be a number, got "):
+                TesMatrix(columns=((), ((0, tes),)))
+        with pytest.raises(ValueError, match="position True must be an integer"):
+            TesMatrix(columns=((), (), ((True, 0.5),)))
+        assert TesMatrix(columns=((), ((0, 1),))).columns[1] == ((0, 1),)  # an int is a number
 
     def test_columns_accessor(self):
         m = TesMatrix(columns=((), ((0, 0.7),), ((1, 0.4),)))
@@ -307,6 +316,29 @@ class TestTet:
         with pytest.raises(TypeError, match="latest_year"):
             Tet(profile=p, edges=edges, params=EvolutionParams(), latest_year=2003)
 
+    @pytest.mark.parametrize(
+        "edge_triples,message",
+        [
+            ([(ROOT_INDEX, 0, 1.0), (ROOT_INDEX, 2, 1.0), (ROOT_INDEX, 4, 1.0)], "topic 1 is unreachable from the root"),
+            (
+                [(ROOT_INDEX, 0, 1.0), (ROOT_INDEX, 2, 1.0), (0, 3, 0.5), (0, 4, 0.5), (3, 4, 0.5)],
+                "topic 1 is unreachable from the root",
+            ),
+            (
+                [(ROOT_INDEX, 0, 1.0), (ROOT_INDEX, 2, 1.0), (0, 3, 0.5), (0, 1, 0.5), (3, 1, 0.5), (0, 4, 0.5), (3, 4, 0.5)],
+                "parents 0 and 3 of topic 1 lie on the same pathway",
+            ),
+        ],
+        ids=["two-unreachable", "unreachable-and-pathway", "two-pathway-faults"],
+    )
+    def test_first_error_in_ascending_index(self, edge_triples, message):
+        # profile order is 0, 2, 3, 1, 4: topic 3 comes before topic 1
+        years = (2000, 2002, 2000, 2001, 2003)
+        p = TemporalTopicProfile(tuple(sorted((topic(i, y) for i, y in enumerate(years)), key=lambda t: (t.year, t.index))))
+        with pytest.raises(ValueError) as info:
+            make_tet(p, edge_triples)
+        assert str(info.value) == message
+
     def test_ancestors_of_transitive(self):
         # chain 0 -> 1 -> 3, and 4 fused from the unrelated 1 and 2
         p = profile_of(2001, 2002, 2002, 2003, 2003)
@@ -314,7 +346,9 @@ class TestTet:
             p,
             [(ROOT_INDEX, 0, 1.0), (0, 1, 0.5), (ROOT_INDEX, 2, 1.0), (1, 3, 0.5), (1, 4, 0.5), (2, 4, 0.5)],
         )
-        masks = tet._ancestor_masks
+        masks = {}
+        for t in p.topics:  # profile order visits every parent before its children
+            masks[t.index] = ancestor_mask(masks, tet.parents_of(t.index))
         ancestors = {v: {u for u in range(len(p)) if masks[v] >> u & 1} for v in range(len(p))}
         assert all(0 <= mask < 1 << len(p) for mask in masks.values())  # topic bits only
         assert ancestors[1] == {0}  # direct parent; the topic itself is excluded
