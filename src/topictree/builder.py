@@ -26,6 +26,7 @@ from .model import (
     Tet,
     TetEdge,
     ancestor_mask,
+    require_type,
 )
 
 
@@ -98,6 +99,9 @@ def build_tet(
     :class:`DimensionMismatchError` when the matrix does not match the
     profile size.
     """
+    require_type(profile, TemporalTopicProfile, "profile")
+    require_type(matrix, TesMatrix, "matrix")
+    require_type(params, EvolutionParams, "params")
     if matrix.n != len(profile):
         raise DimensionMismatchError(
             f"matrix is {matrix.n}x{matrix.n} but the profile has {len(profile)} topics"

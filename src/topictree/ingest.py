@@ -56,6 +56,9 @@ BELOW_DIAGONAL_IGNORED = "BelowDiagonalIgnored"
 #: rejected (strict) or coerced (lenient).
 DIAGONAL_TOLERANCE = 1e-9
 
+#: Distinct cell texts `parse_tes` keeps checked; past this it starts afresh.
+_MAX_CHECKED = 1024
+
 _PLAIN_DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
 _PLAIN_INT = re.compile(r"[+-]?[0-9]+")
 _QUOTE_CHARS = "'\"`"
@@ -312,18 +315,19 @@ def parse_tes(
     and 0 between contemporary topics. Only the nonzero TES are stored (see
     :class:`TesMatrix`). The cells below the diagonal are joined, and walked
     only when the join is not blank. Above it, each distinct text is checked
-    once, and only the cells with an issue or a nonzero TES are visited, so
-    issues come row by row, columns ascending. Rows are checked as the CSV
-    reader yields them, so the working memory is one row plus the nonzero
-    TES kept. A wrong row count, or else any row of the wrong length, is
-    reported alone. Raises :class:`CsvValidationError` on any violation that
-    lenient mode cannot coerce.
+    once while it is cached, and only the cells with an issue or a nonzero
+    TES are visited, so issues come row by row, columns ascending. Rows are
+    checked as the CSV reader yields them, so the working memory is one row
+    plus the nonzero TES kept. A wrong row count, or else any row of the
+    wrong length, is reported alone. Raises :class:`CsvValidationError` on
+    any violation that lenient mode cannot coerce.
     """
     n = len(profile)
     years = [topic.year for topic in profile.topics]
     columns: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    # A matrix repeats few cell texts (mostly "0"): check each once, and
-    # store one float object per distinct text.
+    # A matrix repeats few cell texts (mostly "0"): check each once, and store
+    # one float object per distinct text. The cache starts afresh once it
+    # holds more than _MAX_CHECKED texts, so its size stays bounded.
     checked: dict[str, float | tuple[str, str]] = {}
     report = ValidationReport()
     shape = ValidationReport()  # wrong row lengths, raised without the cell issues
@@ -348,6 +352,8 @@ def parse_tes(
             else:
                 report.error(rownum, rownum, DIAGONAL_NOT_ONE, f"diagonal entry must be 1, got {value}")
         later = bisect_right(years, years[i])  # the first position of a later year
+        if len(checked) > _MAX_CHECKED:
+            checked.clear()
         for text in set(row[i + 1 :]).difference(checked):
             checked[text] = _check_tes(text.strip())
         # Only an issue or a nonzero TES is truthy: zero cells are skipped in C.

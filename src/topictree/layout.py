@@ -1,4 +1,4 @@
-"""Geometry for rendering: positions, ticks and label placement.
+"""Geometry for rendering: positions, axis coordinates and label placement.
 
 Node position is meaning, not aesthetics: x is linear in the topic's year,
 y is linear in its weight, so the picture reads as a timeline with topic
@@ -86,26 +86,6 @@ class CanvasSpec(_Value):
         return self.plot_bottom - self.plot_top
 
 
-class Rect(_Value):
-    def __init__(self, x0: float, y0: float, x1: float, y1: float) -> None:
-        self._store(x0, y0, x1, y1)
-
-
-class LabelAnchor(_Value):
-    """Chosen compass offset and the final label bounding box."""
-
-    def __init__(self, direction: str, box: Rect) -> None:
-        self._store(direction, box)
-
-
-class TetLayout(_Value):
-    def __init__(
-        self, positions: dict[int, tuple[float, float]], label_anchors: dict[int, LabelAnchor],
-        x_ticks: list[tuple[int, float]], y_ticks: list[tuple[float, float]], canvas: CanvasSpec,
-    ) -> None:
-        self._store(positions, label_anchors, x_ticks, y_ticks, canvas)
-
-
 def _x_of_year(year: int, years: tuple[int, ...], canvas: CanvasSpec) -> float:
     if len(years) == 1:
         return canvas.plot_left + canvas.plot_width / 2
@@ -143,7 +123,7 @@ def compute_positions(tet: Tet, canvas: CanvasSpec) -> dict[int, tuple[float, fl
     return positions
 
 
-#: A box as ``(x0, y0, x1, y1)``: what label placement scores, cheaper than a Rect.
+#: A box as ``(x0, y0, x1, y1)``: what label placement scores and returns.
 _Box = tuple[float, float, float, float]
 
 
@@ -212,22 +192,22 @@ def _overlap(box: _Box, others: list[_Box]) -> float:
 
 def place_labels(
     positions: dict[int, tuple[float, float]], labels: dict[int, str]
-) -> dict[int, LabelAnchor]:
-    """Greedy one-pass label placement over 8 compass offsets.
+) -> dict[int, _Box]:
+    """Greedy one-pass label placement over 8 compass offsets: the box each label takes.
 
     Nodes are visited in index order; each label takes the first offset with
     the least total overlap against already-placed labels and all node
     glyphs. Best effort: a single pass, deterministic.
 
-    Boxes are plain ``(x0, y0, x1, y1)`` float tuples; only the box a label
-    takes becomes a :class:`Rect`. Glyph boxes and placed label boxes sit in
-    one uniform grid of square cells, so a label's offsets are scored only
-    against the boxes that share a cell with the region their eight boxes
-    span, and a box whose x or y interval does not overlap the offset's is
-    skipped before any arithmetic. Every box left out overlaps the offset by
-    exactly 0.0, and the rest are summed in the all-pairs order (glyphs in
-    ``positions`` order, then labels in placement order), so every sum,
-    tie-break and box matches a scan of all glyphs and labels.
+    Boxes are plain ``(x0, y0, x1, y1)`` float tuples. Glyph boxes and
+    placed label boxes sit in one uniform grid of square cells, so a label's
+    offsets are scored only against the boxes that share a cell with the
+    region their eight boxes span, and a box whose x or y interval does not
+    overlap the offset's is skipped before any arithmetic. Every box left
+    out overlaps the offset by exactly 0.0, and the rest are summed in the
+    all-pairs order (glyphs in ``positions`` order, then labels in placement
+    order), so every sum, tie-break and box matches a scan of all glyphs and
+    labels.
 
     The grid covers only the cells around the nodes: their bounding box
     widened by the glyph radius, the label gap and one more cell. Each label
@@ -251,7 +231,7 @@ def place_labels(
         grid.add((x - radius, y - radius, x + radius, y + radius))
     n_glyphs = len(grid.boxes)
     steps = [(sx, sy, radius * k) for sx, sy, k in _OFFSETS.values()]
-    placed: dict[int, LabelAnchor] = {}
+    placed: dict[int, _Box] = {}
     for v in sorted(labels):
         x, y = positions[v]
         w, h = max(1, len(labels[v])) * _CHAR_WIDTH, _LINE_HEIGHT
@@ -259,38 +239,15 @@ def place_labels(
         x0s, y0s, x1s, y1s = zip(*boxes)
         region = (min(x0s), min(y0s), max(x1s), max(y1s))
         near_glyphs, near_labels = grid.near(region, n_glyphs)
-        best: tuple[float, str, _Box] | None = None
-        for direction, box in zip(COMPASS, boxes):
+        best: tuple[float, _Box] | None = None
+        for box in boxes:
             overlap = _overlap(box, near_glyphs)
             overlap += _overlap(box, near_labels)
             if best is None or overlap < best[0]:
-                best = (overlap, direction, box)
+                best = (overlap, box)
             if overlap == 0.0:
                 break
         assert best is not None
-        placed[v] = LabelAnchor(direction=best[1], box=Rect(*best[2]))
-        grid.add(best[2])
+        placed[v] = best[1]
+        grid.add(best[1])
     return placed
-
-
-def axis_ticks(tet: Tet, canvas: CanvasSpec) -> tuple[list[tuple[int, float]], list[tuple[float, float]]]:
-    """One x tick per distinct profile year; y ticks at 0, 0.25, 0.5, 0.75, 1."""
-    years = tet.profile.distinct_years
-    x_ticks = [(year, _x_of_year(year, years, canvas)) for year in years]
-    y_ticks = [(v, _y_of_weight(v, canvas)) for v in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    return x_ticks, y_ticks
-
-
-def compute_layout(tet: Tet, canvas: CanvasSpec | None = None) -> TetLayout:
-    """Assemble the full layout for a tree."""
-    canvas = canvas or CanvasSpec()
-    positions = compute_positions(tet, canvas)
-    labels = {topic.index: topic.display_label for topic in tet.profile.topics}
-    x_ticks, y_ticks = axis_ticks(tet, canvas)
-    return TetLayout(
-        positions=positions,
-        label_anchors=place_labels(positions, labels),
-        x_ticks=x_ticks,
-        y_ticks=y_ticks,
-        canvas=canvas,
-    )

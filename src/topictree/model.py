@@ -53,6 +53,12 @@ def require_str(value: object, where: str) -> str:
     return value
 
 
+def require_type(value: object, cls: type, where: str) -> None:
+    """Reject `value` unless it is an instance of `cls`; nothing is coerced."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{where} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def require_words(value: object, where: str) -> tuple[str, ...]:
     """`value` as a tuple if it is a list or tuple of strings; a bare string is rejected."""
     if not isinstance(value, (list, tuple)) or not all(isinstance(word, str) for word in value):
@@ -158,10 +164,14 @@ class TemporalTopicProfile(_Value):
     """
 
     def __init__(self, topics: tuple[TopicRecord, ...]) -> None:
+        require_type(topics, tuple, "topics")
         if not topics:
             raise ValueError("profile must contain at least one topic")
         n = len(topics)
-        position = {t.index: pos for pos, t in enumerate(topics)}
+        position: dict[int, int] = {}
+        for pos, t in enumerate(topics):
+            require_type(t, TopicRecord, "topic")
+            position[t.index] = pos
         if len(position) != n:
             raise ValueError("topic indices must be unique")
         if position.keys() != set(range(n)):
@@ -210,11 +220,17 @@ class TesMatrix(_Value):
     """
 
     def __init__(self, columns: tuple[tuple[tuple[int, float], ...], ...]) -> None:
+        require_type(columns, tuple, "columns")
         if not columns:
             raise ValueError("matrix must hold at least one topic")
         for j, column in enumerate(columns):
+            require_type(column, tuple, "column")
             previous = -1
-            for i, tes in column:
+            for pair in column:
+                try:
+                    i, tes = pair
+                except (TypeError, ValueError):
+                    raise ValueError(f"column {j}: entry {pair!r} must be a (position, tes) pair") from None
                 if not (type(i) is int and previous < i < j):
                     raise ValueError(
                         f"column {j}: position {i!r} must be an integer above {previous} and below {j}"
@@ -248,8 +264,7 @@ class EvolutionParams(_Value):
             raise ValueError(f"min_reborn must be >= 0, got {min_reborn}")
         if require_int(min_dead, "min_dead") < 0:
             raise ValueError(f"min_dead must be >= 0, got {min_dead}")
-        if not isinstance(threshold_mode, ThresholdMode):
-            raise ValueError(f"threshold_mode must be a ThresholdMode, got {threshold_mode!r}")
+        require_type(threshold_mode, ThresholdMode, "threshold_mode")
         self._store(min_tes, min_reborn, min_dead, threshold_mode)
 
     def admits(self, tes: float) -> bool:
@@ -304,10 +319,14 @@ class Tet(_Value):
     """
 
     def __init__(self, profile: TemporalTopicProfile, edges: tuple[TetEdge, ...], params: EvolutionParams) -> None:
+        require_type(profile, TemporalTopicProfile, "profile")
+        require_type(edges, tuple, "edges")
+        require_type(params, EvolutionParams, "params")
         self._store(profile, edges, params)
         parents: dict[int, list[int]] = {t.index: [] for t in profile.topics}
         seen: set[tuple[int, int]] = set()
         for e in edges:
+            require_type(e, TetEdge, "edge")
             if e.to_index not in parents:
                 raise ValueError(f"edge targets unknown topic index {e.to_index}")
             if not e.is_root_edge:

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from json.encoder import encode_basestring_ascii
 
 from .ingest import format_number
-from .layout import CanvasSpec, TetLayout, compute_layout
+from .layout import CanvasSpec, _x_of_year, _y_of_weight, compute_positions, place_labels
 from .model import (
     EmergingState,
     EvolutionParams,
@@ -29,6 +29,7 @@ from .model import (
     require_int,
     require_number,
     require_str,
+    require_type,
     require_words,
 )
 
@@ -143,18 +144,19 @@ def _svg_legends(canvas: CanvasSpec) -> list[str]:
     return out
 
 
-def _svg_axes(layout: TetLayout) -> list[str]:
-    canvas = layout.canvas
+def _svg_axes(years: tuple[int, ...], canvas: CanvasSpec) -> list[str]:
     out = ['<g id="axes">']
     out.append(_svg_axis_line(canvas.plot_left, canvas.plot_bottom, canvas.plot_right, canvas.plot_bottom))
     out.append(_svg_axis_line(canvas.plot_left, canvas.plot_top, canvas.plot_left, canvas.plot_bottom))
-    for year, x in layout.x_ticks:
+    for year in years:
+        x = _x_of_year(year, years, canvas)
         out.append(_svg_axis_line(x, canvas.plot_bottom, x, canvas.plot_bottom + 5))
         out.append(
             f'<text class="x-tick-label" x="{_fmt(x)}" y="{_fmt(canvas.plot_bottom + 18)}" '
             f'{_FONT} font-size="11" text-anchor="middle">{year}</text>'
         )
-    for value, y in layout.y_ticks:
+    for value in (0.0, 0.25, 0.5, 0.75, 1.0):
+        y = _y_of_weight(value, canvas)
         out.append(_svg_axis_line(canvas.plot_left - 5, y, canvas.plot_left, y))
         out.append(
             f'<text class="y-tick-label" x="{_fmt(canvas.plot_left - 9)}" y="{_fmt(y + 4)}" '
@@ -182,8 +184,10 @@ def to_svg(tet: Tet, canvas: CanvasSpec | None = None, show_root: bool = False) 
     its TES bin, axes with year/weight ticks, and the two legends. The root
     and its edges are hidden unless ``show_root`` is set.
     """
-    layout = compute_layout(tet, canvas)
-    canvas = layout.canvas
+    canvas = CanvasSpec() if canvas is None else canvas
+    require_type(canvas, CanvasSpec, "canvas")
+    positions = compute_positions(tet, canvas)
+    boxes = place_labels(positions, {t.index: t.display_label for t in tet.profile.topics})
     r = canvas.glyph_radius
 
     lines = [
@@ -200,7 +204,7 @@ def to_svg(tet: Tet, canvas: CanvasSpec | None = None, show_root: bool = False) 
         )
     lines.append("</defs>")
     lines.append(f'<rect width="{_fmt(canvas.width)}" height="{_fmt(canvas.height)}" fill="#ffffff"/>')
-    lines.extend(_svg_axes(layout))
+    lines.extend(_svg_axes(tet.profile.distinct_years, canvas))
 
     root_pos = (canvas.plot_left - 35, (canvas.plot_top + canvas.plot_bottom) / 2)
 
@@ -211,9 +215,9 @@ def to_svg(tet: Tet, canvas: CanvasSpec | None = None, show_root: bool = False) 
                 continue
             start, token, stroke = root_pos, "root", _ROOT_STROKE
         else:
-            start = layout.positions[e.from_index]
+            start = positions[e.from_index]
             token, stroke, _ = tes_bin(e.tes)
-        lines.append(_svg_edge_path(e, start, layout.positions[e.to_index], r, stroke, token))
+        lines.append(_svg_edge_path(e, start, positions[e.to_index], r, stroke, token))
     lines.append("</g>")
 
     lines.append('<g id="nodes">')
@@ -225,7 +229,7 @@ def to_svg(tet: Tet, canvas: CanvasSpec | None = None, show_root: bool = False) 
         )
         lines.append("</g>")
     for topic in tet.profile.topics:
-        x, y = layout.positions[topic.index]
+        x, y = positions[topic.index]
         emerging, evolving = tet.states[topic.index]
         lines.append(f'<g id="node-{topic.index}" class="node">')
         lines.append(_svg_half_circle(x, y, r, True, EMERGING_FILL[emerging]))
@@ -238,9 +242,9 @@ def to_svg(tet: Tet, canvas: CanvasSpec | None = None, show_root: bool = False) 
 
     lines.append('<g id="labels">')
     for topic in tet.profile.topics:
-        anchor = layout.label_anchors[topic.index]
-        cx = (anchor.box.x0 + anchor.box.x1) / 2
-        baseline = (anchor.box.y0 + anchor.box.y1) / 2 + 4
+        x0, y0, x1, y1 = boxes[topic.index]
+        cx = (x0 + x1) / 2
+        baseline = (y0 + y1) / 2 + 4
         lines.append(
             f'<text class="node-label" x="{_fmt(cx)}" y="{_fmt(baseline)}" {_FONT} '
             f'font-size="11" text-anchor="middle">{_escape(topic.display_label)}</text>'

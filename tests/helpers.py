@@ -8,7 +8,7 @@ by cell and reads the CSV with its own whole-text reader
 `parse_tes`. The tree JSON oracle (`to_json_reference`) builds the
 document as dicts and hands it to `json.dumps`. The all-pairs label
 placement shares the library's offset geometry (`_label_box` and
-`_OFFSETS`) and tie-breaks; it scores `Rect` boxes with its own
+`_OFFSETS`) and tie-breaks; it scores `(x0, y0, x1, y1)` boxes with its own
 `intersection_area`, and leaves out the library's grid and interval test.
 """
 
@@ -27,8 +27,6 @@ from topictree.layout import (
     _OFFSETS,
     COMPASS,
     CanvasSpec,
-    LabelAnchor,
-    Rect,
     _label_box,
 )
 from topictree.model import (
@@ -407,46 +405,63 @@ def structural_violations(tet, matrix: TesMatrix, params: EvolutionParams) -> li
     return problems
 
 
-def intersection_area(a: Rect, b: Rect) -> float:
-    dx = min(a.x1, b.x1) - max(a.x0, b.x0)
-    dy = min(a.y1, b.y1) - max(a.y0, b.y0)
+#: A box as ``(x0, y0, x1, y1)``, as `place_labels` returns it.
+Box = tuple[float, float, float, float]
+
+
+def intersection_area(a: Box, b: Box) -> float:
+    dx = min(a[2], b[2]) - max(a[0], b[0])
+    dy = min(a[3], b[3]) - max(a[1], b[1])
     if dx <= 0 or dy <= 0:
         return 0.0
     return dx * dy
 
 
-def centered(cx: float, cy: float, w: float, h: float) -> Rect:
-    return Rect(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+def centered(cx: float, cy: float, w: float, h: float) -> Box:
+    return cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2
 
 
-def intersects(a: Rect, b: Rect) -> bool:
+def intersects(a: Box, b: Box) -> bool:
     """Whether two boxes overlap with positive area."""
     return intersection_area(a, b) > 0.0
 
 
+def label_direction(node: tuple[float, float], box: Box) -> str:
+    """The compass direction of a label box from its node: the signs of the
+    box centre minus the node, looked up in `_OFFSETS`.
+
+    Along a stepped axis the centre lies more than the label gap from the
+    node; along the other it is the node's coordinate up to rounding.
+    """
+    dx = (box[0] + box[2]) / 2 - node[0]
+    dy = (box[1] + box[3]) / 2 - node[1]
+    signs = ((dx > 1) - (dx < -1), (dy > 1) - (dy < -1))
+    return next(name for name, (sx, sy, _) in _OFFSETS.items() if (sx, sy) == signs)
+
+
 def place_labels_bruteforce(
     positions: dict[int, tuple[float, float]], labels: dict[int, str]
-) -> dict[int, LabelAnchor]:
+) -> dict[int, Box]:
     """Label placement oracle: scores every compass offset against every glyph
     and every placed label, with the library's box geometry and tie-breaks."""
     glyph_radius = CanvasSpec.glyph_radius
     glyph_boxes = [
         centered(x, y, 2 * glyph_radius, 2 * glyph_radius) for x, y in positions.values()
     ]
-    placed: dict[int, LabelAnchor] = {}
+    placed: dict[int, Box] = {}
     for v in sorted(labels):
         x, y = positions[v]
         w, h = max(1, len(labels[v])) * _CHAR_WIDTH, _LINE_HEIGHT
-        best: tuple[float, str, Rect] | None = None
+        best: tuple[float, Box] | None = None
         for direction in COMPASS:
             sx, sy, share = _OFFSETS[direction]
-            box = Rect(*_label_box(x, y, w, h, sx, sy, glyph_radius * share))
+            box = _label_box(x, y, w, h, sx, sy, glyph_radius * share)
             overlap = sum(intersection_area(box, g) for g in glyph_boxes)
-            overlap += sum(intersection_area(box, a.box) for a in placed.values())
+            overlap += sum(intersection_area(box, a) for a in placed.values())
             if best is None or overlap < best[0]:
-                best = (overlap, direction, box)
+                best = (overlap, box)
             if overlap == 0.0:
                 break
         assert best is not None
-        placed[v] = LabelAnchor(direction=best[1], box=best[2])
+        placed[v] = best[1]
     return placed

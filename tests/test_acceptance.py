@@ -33,7 +33,7 @@ from topictree import ingest
 from topictree.builder import build_tet, candidate_parents, prune_candidates
 from topictree.cli import main
 from topictree.ingest import CsvValidationError, parse_profile, parse_tes, tes_to_csv
-from topictree.layout import compute_layout
+from topictree.layout import CanvasSpec, compute_positions, place_labels
 from topictree.model import (
     EmergingState,
     EvolutionParams,
@@ -415,13 +415,14 @@ def test_criterion_7_output_contracts(tet_exclusive, tet_inclusive):
 
 
 def test_criterion_8_label_placement(tet_exclusive):
-    layout = compute_layout(tet_exclusive)
-    anchors = list(layout.label_anchors.values())
+    positions = compute_positions(tet_exclusive, CanvasSpec())
+    labels = {t.index: t.display_label for t in tet_exclusive.profile.topics}
+    boxes = list(place_labels(positions, labels).values())
     overlaps = [
         (a, b)
-        for i, a in enumerate(anchors)
-        for b in anchors[i + 1 :]
-        if intersects(a.box, b.box)
+        for i, a in enumerate(boxes)
+        for b in boxes[i + 1 :]
+        if intersects(a, b)
     ]
     assert overlaps == []
     print("ACCEPTANCE 8: PASS - zero overlapping label boxes on the fixture")

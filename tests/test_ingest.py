@@ -375,6 +375,36 @@ class TestParseTes:
         assert matrix.columns == ((),) * n and not report.errors and not report.warnings
         assert peak < len(data)
 
+    def test_distinct_cell_texts_cost_bounded_memory(self):
+        # 400 topics over 20 years, 30 % of the cells towards later years
+        # nonzero: once with 6-decimal TES, once with the same TES in tenths.
+        # The many distinct 6-decimal texts must not all stay cached.
+        n, per_year = 400, 20
+        profile = TemporalTopicProfile(
+            topics=tuple(
+                TopicRecord(id=f"t{i}", index=i, weight=0.5, year=2000 + i // per_year, words=("w",)) for i in range(n)
+            )
+        )
+        rng = random.Random(4)
+        fine, coarse = [], []
+        for i in range(n):
+            later = (i // per_year + 1) * per_year
+            values = [rng.randint(1, 10**6) / 10**6 if j >= later and rng.random() < 0.3 else 0.0 for j in range(i + 1, n)]
+            head = "," * i + "1"
+            fine.append(",".join([head, *(f"{v:.6f}" if v else "0" for v in values)]))
+            coarse.append(",".join([head, *(f"{max(1, round(v * 10)) / 10}" if v else "0" for v in values)]))
+        peak, listed = {}, {}
+        for name, rows in (("fine", fine), ("coarse", coarse)):
+            data = "\n".join(rows).encode()
+            tracemalloc.start()
+            try:
+                matrix, _ = parse_tes(data, profile)
+                peak[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            listed[name] = [[i for i, _ in column] for column in matrix.columns]
+        assert listed["fine"] == listed["coarse"]
+        assert peak["fine"] < 2 * peak["coarse"], peak
 
 class TestCsvRows:
     """The row reader both parsers share, against the whole-text reader oracle."""

@@ -9,6 +9,7 @@ from helpers import (
     crowded_instance,
     dense,
     intersects,
+    label_direction,
     place_labels_bruteforce,
     random_instance,
     tes_matrix,
@@ -23,8 +24,6 @@ from topictree.layout import (
     CanvasSpec,
     _Grid,
     _label_box,
-    axis_ticks,
-    compute_layout,
     compute_positions,
     place_labels,
 )
@@ -67,6 +66,18 @@ def _coordinate(rng, span):
     if kind == 2:
         return math.nextafter(line, rng.choice((-math.inf, math.inf)))
     return line + rng.choice((-1, 1)) * rng.choice((DEFAULT.glyph_radius, _CHAR_WIDTH / 2, _LINE_HEIGHT / 2))
+
+
+def placed(positions, boxes):
+    """Each placed label as (node, direction, box), in placement order."""
+    return [(v, label_direction(positions[v], box), box) for v, box in boxes.items()]
+
+
+def tick_labels(tet, axis):
+    """The text and the `axis` coordinate of each tick label on that axis of the tree's SVG."""
+    root = ET.fromstring(to_svg(tet))
+    texts = [t for t in root.iter(f"{SVG_NS}text") if t.get("class") == f"{axis}-tick-label"]
+    return [(t.text, float(t.get(axis))) for t in texts]
 
 
 def random_label_input(rng):
@@ -187,23 +198,24 @@ class TestStateColors:
 class TestPlaceLabels:
     def test_distant_nodes_default_north(self):
         positions = {0: (100.0, 100.0), 1: (500.0, 400.0)}
-        anchors = place_labels(positions, {0: "alpha", 1: "beta"})
-        assert anchors[0].direction == "N"
-        assert anchors[1].direction == "N"
+        boxes = place_labels(positions, {0: "alpha", 1: "beta"})
+        assert label_direction(positions[0], boxes[0]) == "N"
+        assert label_direction(positions[1], boxes[1]) == "N"
 
     def test_fixture_labels_disjoint(self, tet_exclusive):
-        layout = compute_layout(tet_exclusive)
-        anchors = list(layout.label_anchors.values())
-        for i, a in enumerate(anchors):
-            for b in anchors[i + 1 :]:
-                assert not intersects(a.box, b.box)
+        positions = compute_positions(tet_exclusive, DEFAULT)
+        labels = {t.index: t.display_label for t in tet_exclusive.profile.topics}
+        boxes = list(place_labels(positions, labels).values())
+        for i, a in enumerate(boxes):
+            for b in boxes[i + 1 :]:
+                assert not intersects(a, b)
 
     def test_coincident_jittered_nodes_take_different_sides(self):
         tet = flat_tet([rec(0, 2002, 0.4), rec(1, 2002, 0.4)])
         positions = compute_positions(tet, DEFAULT)
-        anchors = place_labels(positions, {0: "first", 1: "second"})
-        assert anchors[0].direction != anchors[1].direction
-        assert not intersects(anchors[0].box, anchors[1].box)
+        boxes = place_labels(positions, {0: "first", 1: "second"})
+        assert label_direction(positions[0], boxes[0]) != label_direction(positions[1], boxes[1])
+        assert not intersects(boxes[0], boxes[1])
 
     def test_every_direction_is_legal(self):
         # each direction is taken when an unlabelled glyph sits on the centre
@@ -216,7 +228,7 @@ class TestPlaceLabels:
                     sx, sy, share = _OFFSETS[other]
                     x0, y0, x1, y1 = _label_box(x, y, _CHAR_WIDTH, _LINE_HEIGHT, sx, sy, DEFAULT.glyph_radius * share)
                     positions[k] = ((x0 + x1) / 2, (y0 + y1) / 2)
-            assert place_labels(positions, {0: "x"})[0].direction == direction
+            assert label_direction((x, y), place_labels(positions, {0: "x"})[0]) == direction
 
     def test_grid_matches_all_pairs_scan(self):
         rng = random.Random(5)
@@ -224,9 +236,7 @@ class TestPlaceLabels:
             positions, labels = random_label_input(rng)
             got = place_labels(positions, labels)
             want = place_labels_bruteforce(positions, labels)
-            assert [(v, a.direction, (a.box.x0, a.box.y0, a.box.x1, a.box.y1)) for v, a in got.items()] == [
-                (v, a.direction, (a.box.x0, a.box.y0, a.box.x1, a.box.y1)) for v, a in want.items()
-            ]
+            assert placed(positions, got) == placed(positions, want)
 
     def test_grid_near_keeps_insertion_order(self):
         # Overlaps are summed in the all-pairs order, so `near` must return
@@ -261,10 +271,8 @@ class TestPlaceLabels:
             labels = {t.index: t.display_label for t in profile.topics}
             got = place_labels(positions, labels)
             want = place_labels_bruteforce(positions, labels)
-            assert [(v, a.direction, (a.box.x0, a.box.y0, a.box.x1, a.box.y1)) for v, a in got.items()] == [
-                (v, a.direction, (a.box.x0, a.box.y0, a.box.x1, a.box.y1)) for v, a in want.items()
-            ]
-            taken |= {a.direction for a in got.values()}
+            assert placed(positions, got) == placed(positions, want)
+            taken |= {direction for _, direction, _ in placed(positions, got)}
         assert taken == set(COMPASS)
 
     def test_long_labels_cost_bounded_memory(self):
@@ -279,39 +287,40 @@ class TestPlaceLabels:
             tracemalloc.stop()
         assert peak < 20 * 2**20
         want = place_labels_bruteforce(positions, labels)
-        assert [(v, a.direction, (a.box.x0, a.box.y0, a.box.x1, a.box.y1)) for v, a in got.items()] == [
-            (v, a.direction, (a.box.x0, a.box.y0, a.box.x1, a.box.y1)) for v, a in want.items()
-        ]
+        assert placed(positions, got) == placed(positions, want)
 
     def test_font_metrics_scale_box(self):
         # 7.2 units per character, 12 units per line
-        anchors = place_labels({0: (50.0, 50.0)}, {0: "abcd"})
-        box = anchors[0].box
-        assert box.x1 - box.x0 == pytest.approx(28.8)
-        assert box.y1 - box.y0 == pytest.approx(12.0)
+        x0, y0, x1, y1 = place_labels({0: (50.0, 50.0)}, {0: "abcd"})[0]
+        assert x1 - x0 == pytest.approx(28.8)
+        assert y1 - y0 == pytest.approx(12.0)
 
 
 class TestAxisTicks:
     def test_fixture_year_ticks(self, tet_exclusive):
-        x_ticks, y_ticks = axis_ticks(tet_exclusive, DEFAULT)
-        assert [year for year, _ in x_ticks] == [2001, 2002, 2003, 2004, 2005]
-        assert [v for v, _ in y_ticks] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert [int(text) for text, _ in tick_labels(tet_exclusive, "x")] == [2001, 2002, 2003, 2004, 2005]
+        assert [float(text) for text, _ in tick_labels(tet_exclusive, "y")] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_single_year_has_one_tick(self):
         tet = flat_tet([rec(0, 2001, 0.5)])
-        x_ticks, _ = axis_ticks(tet, DEFAULT)
-        assert len(x_ticks) == 1
+        assert len(tick_labels(tet, "x")) == 1
 
     def test_tick_spacing_linear_in_year_gap(self):
         tet = flat_tet([rec(0, 2001, 0.1), rec(1, 2002, 0.2), rec(2, 2004, 0.3)])
-        x_ticks, _ = axis_ticks(tet, DEFAULT)
-        xs = {year: x for year, x in x_ticks}
+        xs = {int(text): x for text, x in tick_labels(tet, "x")}
         assert xs[2004] - xs[2002] == pytest.approx(2 * (xs[2002] - xs[2001]))
 
 
 class TestComputeLayout:
+    """The layout as `to_svg` computes it: positions, label boxes and edge colours."""
+
     def test_deterministic(self, tet_exclusive):
-        assert compute_layout(tet_exclusive) == compute_layout(tet_exclusive)
+        labels = {t.index: t.display_label for t in tet_exclusive.profile.topics}
+        layouts = []
+        for _ in range(2):
+            positions = compute_positions(tet_exclusive, DEFAULT)
+            layouts.append((positions, place_labels(positions, labels)))
+        assert layouts[0] == layouts[1]
 
     def test_edge_colors_match_tes_bins(self, tet_exclusive, fixture_matrix, fixture_profile):
         root = ET.fromstring(to_svg(tet_exclusive))

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from helpers import dense, tes_matrix
+from topictree.builder import build_tet
 from topictree.model import (
     ROOT_INDEX,
     EvolutionParams,
@@ -14,6 +15,7 @@ from topictree.model import (
     TopicRecord,
     ancestor_mask,
 )
+from topictree.render import to_svg
 
 
 def topic(index, year, weight=0.5, **kw):
@@ -356,3 +358,26 @@ class TestTet:
         assert ancestors[2] == set()
         assert ancestors[3] == {0, 1}  # transitive
         assert ancestors[4] == {0, 1, 2}  # union over several parents
+
+
+_ROOT_ONLY = (TetEdge(ROOT_INDEX, 0, 1.0),)
+
+# Each call passes one argument of the wrong type; the rest are valid.
+WRONG_TYPES = {
+    "tet-params-none": lambda: Tet(profile_of(2001), _ROOT_ONLY, None),
+    "tet-params-str": lambda: Tet(profile_of(2001), _ROOT_ONLY, "junk"),
+    "tet-profile-none": lambda: Tet(None, _ROOT_ONLY, EvolutionParams()),
+    "tet-edges-none": lambda: Tet(profile_of(2001), None, EvolutionParams()),
+    "tet-edge-tuple": lambda: Tet(profile_of(2001), ((ROOT_INDEX, 0, 1.0),), EvolutionParams()),
+    "matrix-entry-float": lambda: TesMatrix(((), (0.5,))),
+    "matrix-column-int": lambda: TesMatrix(((), 5)),
+    "profile-topic-int": lambda: TemporalTopicProfile((1,)),
+    "build-params-none": lambda: build_tet(profile_of(2001), TesMatrix(((),)), None),
+    "svg-canvas-str": lambda: to_svg(Tet(profile_of(2001), _ROOT_ONLY, EvolutionParams()), "x"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_TYPES))
+def test_wrong_argument_type_raises_value_error(name):
+    with pytest.raises(ValueError, match="must be a"):
+        WRONG_TYPES[name]()

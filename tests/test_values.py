@@ -8,7 +8,7 @@ import pickle
 import pytest
 
 from topictree.ingest import ValidationIssue, ValidationReport
-from topictree.layout import CanvasSpec, LabelAnchor, Rect, TetLayout
+from topictree.layout import CanvasSpec
 from topictree.model import (
     EvolutionParams,
     TemporalTopicProfile,
@@ -37,11 +37,6 @@ def _report():
     return report
 
 
-def _layout():
-    anchor = LabelAnchor("NE", Rect(1.0, 2.0, 3.0, 4.0))
-    return TetLayout({0: (10.0, 20.0)}, {0: anchor}, [(2000, 10.0)], [(0.5, 20.0)], CanvasSpec())
-
-
 #: name -> (factory of equal values, factory of a value that differs in one field)
 VALUES = {
     "TopicRecord": (
@@ -59,12 +54,6 @@ VALUES = {
     ),
     "ValidationReport": (_report, ValidationReport),
     "CanvasSpec": (CanvasSpec, lambda: CanvasSpec(width=800.0)),
-    "Rect": (lambda: Rect(1.0, 2.0, 3.0, 4.0), lambda: Rect(1.0, 2.0, 3.0, 5.0)),
-    "LabelAnchor": (
-        lambda: LabelAnchor("NE", Rect(1.0, 2.0, 3.0, 4.0)),
-        lambda: LabelAnchor("SW", Rect(1.0, 2.0, 3.0, 4.0)),
-    ),
-    "TetLayout": (_layout, lambda: TetLayout({}, {}, [], [], CanvasSpec())),
 }
 
 # Pinned from the dataclass-based types these replaced.
@@ -95,13 +84,6 @@ REPRS = {
         "code='RowsResorted', message='re-sorted')])"
     ),
     "CanvasSpec": "CanvasSpec(width=1000.0, height=600.0)",
-    "Rect": "Rect(x0=1.0, y0=2.0, x1=3.0, y1=4.0)",
-    "LabelAnchor": "LabelAnchor(direction='NE', box=Rect(x0=1.0, y0=2.0, x1=3.0, y1=4.0))",
-    "TetLayout": (
-        "TetLayout(positions={0: (10.0, 20.0)}, label_anchors={0: LabelAnchor(direction='NE', "
-        "box=Rect(x0=1.0, y0=2.0, x1=3.0, y1=4.0))}, x_ticks=[(2000, 10.0)], y_ticks=[(0.5, 20.0)], "
-        "canvas=CanvasSpec(width=1000.0, height=600.0))"
-    ),
 }
 
 _NO_DEFAULT = inspect.Parameter.empty
@@ -123,18 +105,12 @@ SIGNATURES = {
         ("row", _NO_DEFAULT), ("column", _NO_DEFAULT), ("code", _NO_DEFAULT), ("message", _NO_DEFAULT),
     ],
     "CanvasSpec": [("width", 1000.0), ("height", 600.0)],
-    "Rect": [("x0", _NO_DEFAULT), ("y0", _NO_DEFAULT), ("x1", _NO_DEFAULT), ("y1", _NO_DEFAULT)],
-    "LabelAnchor": [("direction", _NO_DEFAULT), ("box", _NO_DEFAULT)],
-    "TetLayout": [
-        ("positions", _NO_DEFAULT), ("label_anchors", _NO_DEFAULT), ("x_ticks", _NO_DEFAULT),
-        ("y_ticks", _NO_DEFAULT), ("canvas", _NO_DEFAULT),
-    ],
 }
 
 #: The one mutable type; its lists fill as a parse finds issues.
 MUTABLE = {"ValidationReport"}
 #: Types that hold a list or dict, so they cannot be hashed.
-UNHASHABLE = {"ValidationReport", "TetLayout"}
+UNHASHABLE = {"ValidationReport"}
 
 NAMES = sorted(VALUES)
 
