@@ -20,7 +20,7 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import compress
 
-from .model import TemporalTopicProfile, TesMatrix, TopicRecord, _Value, non_xml_char
+from .model import TemporalTopicProfile, TesMatrix, TopicRecord, _Value, non_xml_char, require_type
 
 # Profile error codes.
 MISSING_HEADER = "MissingHeader"
@@ -111,6 +111,7 @@ class CsvValidationError(ValueError):
     """Raised when a CSV input violates its contract; carries the full report."""
 
     def __init__(self, report: ValidationReport):
+        require_type(report, ValidationReport, "report")
         self.report = report
         summary = "; ".join(issue.format() for issue in report.errors) or "invalid input"
         super().__init__(summary)
@@ -195,6 +196,7 @@ def parse_profile(data: bytes) -> tuple[TemporalTopicProfile, ValidationReport]:
     (year, index), with a warning when re-sorting occurred. Raises
     :class:`CsvValidationError` if any row violates the profile contract.
     """
+    require_type(data, (bytes, bytearray), "data")
     report = ValidationReport()
     rows = list(_csv_rows(data))
     if not rows:
@@ -322,6 +324,8 @@ def parse_tes(
     wrong length, is reported alone. Raises :class:`CsvValidationError` on
     any violation that lenient mode cannot coerce.
     """
+    require_type(data, (bytes, bytearray), "data")
+    require_type(profile, TemporalTopicProfile, "profile")
     n = len(profile)
     years = [topic.year for topic in profile.topics]
     columns: list[list[tuple[int, float]]] = [[] for _ in range(n)]
@@ -406,6 +410,7 @@ def profile_to_csv(profile: TemporalTopicProfile) -> bytes:
     """Serialize a profile back to its CSV form (canonical header order).
 
     The form has no escapes: an id, label or words that :func:`parse_profile` would read back differently raise ``ValueError``."""
+    require_type(profile, TemporalTopicProfile, "profile")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["id", "index", "label", "weight", "year", "words"])
@@ -422,6 +427,7 @@ def profile_to_csv(profile: TemporalTopicProfile) -> bytes:
 
 def tes_to_csv(matrix: TesMatrix) -> bytes:
     """Serialize a matrix back to CSV: blanks below the diagonal, 1 on it, TES above (0 where unlisted)."""
+    require_type(matrix, TesMatrix, "matrix")
     n = matrix.n
     listed: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for j, column in enumerate(matrix.columns):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 
-from .model import Tet, _Value
+from .model import Tet, _Value, require_number
 
 _DIAG = 0.7071067811865476  # 1/sqrt(2)
 
@@ -54,7 +54,7 @@ class CanvasSpec(_Value):
     max_size = 1e6
 
     def __init__(self, width: float = 1000.0, height: float = 600.0) -> None:
-        self._store(width, height)
+        self._store(require_number(width, "width"), require_number(height, "height"))
         # written so that NaN fails it too
         if not (self.width <= self.max_size and self.height <= self.max_size):
             raise ValueError(f"canvas sizes must be finite and at most {self.max_size:g}")

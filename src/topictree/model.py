@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import re
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from functools import cached_property
 
@@ -53,10 +54,11 @@ def require_str(value: object, where: str) -> str:
     return value
 
 
-def require_type(value: object, cls: type, where: str) -> None:
-    """Reject `value` unless it is an instance of `cls`; nothing is coerced."""
+def require_type(value: object, cls: type | tuple[type, ...], where: str) -> None:
+    """Reject `value` unless it is an instance of `cls`, a class or a tuple of them; nothing is coerced."""
     if not isinstance(value, cls):
-        raise ValueError(f"{where} must be a {cls.__name__}, got {type(value).__name__}")
+        names = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+        raise ValueError(f"{where} must be a {names}, got {type(value).__name__}")
 
 
 def require_words(value: object, where: str) -> tuple[str, ...]:
@@ -364,75 +366,42 @@ class Tet(_Value):
                     )
         object.__setattr__(self, "_parents", {v: tuple(ps) for v, ps in parents.items()})
 
-    @property
-    def latest_year(self) -> int:
-        """The profile's latest year; the dead gate counts trailing years up to it."""
-        return self.profile.latest_year
-
-    @cached_property
-    def _child_map(self) -> dict[int, tuple[int, ...]]:
-        children: dict[int, list[int]] = {t.index: [] for t in self.profile.topics}
-        for e in self.edges:
-            if not e.is_root_edge:
-                children[e.from_index].append(e.to_index)
-        return {v: tuple(cs) for v, cs in children.items()}
-
     @cached_property
     def states(self) -> dict[int, tuple[EmergingState, EvolvingState]]:
         """(emerging, evolving) state of every topic, in profile order.
 
-        Derived by :func:`classify_emerging` and :func:`classify_evolving`
-        from the edges, the years and the params.
+        Each is the first match of its rules, so the assignment is exhaustive
+        and exclusive. Emerging, how the topic came to exist: born (no
+        parents), fused (two or more), reborn (its sole parent more than
+        ``min_reborn`` years back), else flourishing; fused beats reborn
+        whatever the gaps, since several ancestors are the stronger claim.
+        Evolving, how it acts on later generations: split (two or more
+        children), dead (childless, more than ``min_dead`` years before the
+        profile's latest year), else flourishing. Both time gates are strict,
+        so a topic in the latest year is never dead.
         """
-        return {
-            t.index: (classify_emerging(self, t.index), classify_evolving(self, t.index))
-            for t in self.profile.topics
-        }
+        profile, parents, params = self.profile, self._parents, self.params
+        children = Counter(p for ps in parents.values() for p in ps)
+        states = {}
+        for t in profile.topics:
+            ps = parents[t.index]
+            if not ps:
+                emerging = EmergingState.BORN
+            elif len(ps) >= 2:
+                emerging = EmergingState.FUSED
+            elif t.year - profile.year_of(ps[0]) > params.min_reborn:
+                emerging = EmergingState.REBORN
+            else:
+                emerging = EmergingState.FLOURISHING
+            if children[t.index] >= 2:
+                evolving = EvolvingState.SPLIT
+            elif not children[t.index] and profile.latest_year - t.year > params.min_dead:
+                evolving = EvolvingState.DEAD
+            else:
+                evolving = EvolvingState.FLOURISHING
+            states[t.index] = (emerging, evolving)
+        return states
 
     def parents_of(self, v: int) -> tuple[int, ...]:
         """Non-root parents of topic `v`, in edge order."""
         return self._parents[v]
-
-    def children_of(self, v: int) -> tuple[int, ...]:
-        return self._child_map[v]
-
-
-# Evolution states. Each topic carries two: the emerging-state says how it
-# came to exist (born / fused / reborn / flourishing), the evolving-state how
-# it acts on later generations (split / dead / flourishing). Classification is
-# a first match in a fixed order, so the assignment is exhaustive and
-# exclusive.
-
-
-def classify_emerging(tet: Tet, v: int) -> EmergingState:
-    """born -> fused -> reborn -> flourishing, first match wins.
-
-    Fused (two or more parents) takes priority over reborn: multiple
-    ancestry is the structurally stronger claim, whatever the gaps. The time
-    gate is strict: a single-parent topic is reborn only when its silence
-    exceeds ``min_reborn`` years.
-    """
-    parents = tet.parents_of(v)
-    if not parents:
-        return EmergingState.BORN
-    if len(parents) >= 2:
-        return EmergingState.FUSED
-    gap = tet.profile.year_of(v) - max(tet.profile.year_of(p) for p in parents)
-    if gap > tet.params.min_reborn:
-        return EmergingState.REBORN
-    return EmergingState.FLOURISHING
-
-
-def classify_evolving(tet: Tet, v: int) -> EvolvingState:
-    """split -> dead -> flourishing, first match wins.
-
-    The time gate is strict: a childless topic is dead only when the latest
-    profile year lies more than ``min_dead`` years after it, so topics in the
-    latest year are never dead.
-    """
-    children = tet.children_of(v)
-    if len(children) >= 2:
-        return EvolvingState.SPLIT
-    if not children and tet.latest_year - tet.profile.year_of(v) > tet.params.min_dead:
-        return EvolvingState.DEAD
-    return EvolvingState.FLOURISHING

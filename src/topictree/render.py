@@ -184,6 +184,7 @@ def to_svg(tet: Tet, canvas: CanvasSpec | None = None, show_root: bool = False) 
     its TES bin, axes with year/weight ticks, and the two legends. The root
     and its edges are hidden unless ``show_root`` is set.
     """
+    require_type(tet, Tet, "tet")
     canvas = CanvasSpec() if canvas is None else canvas
     require_type(canvas, CanvasSpec, "canvas")
     positions = compute_positions(tet, canvas)
@@ -272,6 +273,7 @@ def to_dot(tet: Tet, show_root: bool = False) -> str:
     is omitted unless requested, so the default output contains exactly the
     topics and their evolutionary relationships.
     """
+    require_type(tet, Tet, "tet")
     lines = ["digraph tet {", "  rankdir=LR;"]
     if show_root:
         lines.append('  "root" [shape=point, label="root"];')
@@ -307,12 +309,13 @@ def to_json(tet: Tet) -> str:
     The bytes are those of ``json.dumps(doc, indent=2)``, written from one
     template per node and per edge with the primitives that encoder uses.
     """
+    require_type(tet, Tet, "tet")
     s, i, f = encode_basestring_ascii, int.__repr__, float.__repr__
     p = tet.params
     parts = [
         f'{{\n  "params": {{\n    "min_tes": {f(p.min_tes)},\n    "min_reborn": {i(p.min_reborn)},\n'
         f'    "min_dead": {i(p.min_dead)},\n    "threshold_mode": {s(p.threshold_mode.value)}\n  }},\n'
-        f'  "latest_year": {i(tet.latest_year)},\n  "nodes": [\n'
+        f'  "latest_year": {i(tet.profile.latest_year)},\n  "nodes": [\n'
     ]
     # The model guarantees non-empty nodes, edges and words, so no list is ever written as [].
     for t in tet.profile.topics:
@@ -362,6 +365,7 @@ def tet_from_json(text: str) -> Tet:
     malformed input, including structural problems that violate tree
     invariants.
     """
+    require_str(text, "text")
     try:
         doc = json.loads(text)
     except RecursionError:
@@ -398,8 +402,8 @@ def tet_from_json(text: str) -> Tet:
         )
         latest_year = require_int(doc["latest_year"], "latest_year")
         tet = Tet(profile=TemporalTopicProfile(topics=tuple(topics)), edges=edges, params=params)
-        if latest_year != tet.latest_year:
-            raise ValueError(f"latest_year {latest_year} does not match profile ({tet.latest_year})")
+        if latest_year != tet.profile.latest_year:
+            raise ValueError(f"latest_year {latest_year} does not match profile ({tet.profile.latest_year})")
         for node, topic in zip(doc["nodes"], topics):
             stored = (node["emerging_state"], node["evolving_state"])
             derived = tuple(state.value for state in tet.states[topic.index])

@@ -262,7 +262,7 @@ def to_json_reference(tet: Tet) -> str:
             "min_dead": tet.params.min_dead,
             "threshold_mode": tet.params.threshold_mode.value,
         },
-        "latest_year": tet.latest_year,
+        "latest_year": tet.profile.latest_year,
         "nodes": [
             {
                 "id": topic.id,

@@ -143,7 +143,7 @@ def test_criterion_5_classification_properties():
         assert set(tet.states) == {t.index for t in profile.topics}
         for v, (emerging, evolving) in tet.states.items():
             assert isinstance(emerging, EmergingState) and isinstance(evolving, EvolvingState)
-            if tet.profile.year_of(v) == tet.latest_year:
+            if tet.profile.year_of(v) == tet.profile.latest_year:
                 assert evolving is not EvolvingState.DEAD
 
     # strict-inequality gates, reconstructed parametrically

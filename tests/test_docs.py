@@ -26,7 +26,7 @@ def test_readme_importable_names_exist():
     # each backquoted name belongs to the module named after it.
     parts = re.split(r"from `(topictree\.\w+)`", sentence.group())
     pairs = list(zip(parts[0::2], parts[1::2]))
-    assert len(pairs) >= 3
+    assert len(pairs) == 2
     for names, module in pairs:
         for name in re.findall(r"`(\w+)`", names):
             assert hasattr(importlib.import_module(module), name), f"{module}.{name}"

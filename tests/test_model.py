@@ -4,6 +4,8 @@ import pytest
 
 from helpers import dense, tes_matrix
 from topictree.builder import build_tet
+from topictree.ingest import CsvValidationError, parse_profile, parse_tes, profile_to_csv, tes_to_csv
+from topictree.layout import CanvasSpec
 from topictree.model import (
     ROOT_INDEX,
     EvolutionParams,
@@ -15,7 +17,7 @@ from topictree.model import (
     TopicRecord,
     ancestor_mask,
 )
-from topictree.render import to_svg
+from topictree.render import tet_from_json, to_dot, to_json, to_svg
 
 
 def topic(index, year, weight=0.5, **kw):
@@ -274,7 +276,6 @@ class TestTet:
         p = profile_of(2001, 2002)
         tet = make_tet(p, [(ROOT_INDEX, 0, 1.0), (0, 1, 0.5)])
         assert tet.parents_of(1) == (0,)
-        assert tet.children_of(0) == (1,)
         assert not tet.parents_of(0) and tet.parents_of(1)
 
     def test_edge_must_advance_in_time(self):
@@ -314,7 +315,7 @@ class TestTet:
         # derived from the profile, so a disagreeing value cannot be passed in
         p = profile_of(2001, 2002)
         edges = (TetEdge(ROOT_INDEX, 0, 1.0), TetEdge(0, 1, 0.5))
-        assert make_tet(p, [(ROOT_INDEX, 0, 1.0), (0, 1, 0.5)]).latest_year == 2002
+        assert make_tet(p, [(ROOT_INDEX, 0, 1.0), (0, 1, 0.5)]).profile.latest_year == 2002
         with pytest.raises(TypeError, match="latest_year"):
             Tet(profile=p, edges=edges, params=EvolutionParams(), latest_year=2003)
 
@@ -374,6 +375,19 @@ WRONG_TYPES = {
     "profile-topic-int": lambda: TemporalTopicProfile((1,)),
     "build-params-none": lambda: build_tet(profile_of(2001), TesMatrix(((),)), None),
     "svg-canvas-str": lambda: to_svg(Tet(profile_of(2001), _ROOT_ONLY, EvolutionParams()), "x"),
+    "svg-tet-none": lambda: to_svg(None),
+    "dot-tet-none": lambda: to_dot(None),
+    "json-tet-none": lambda: to_json(None),
+    "from-json-none": lambda: tet_from_json(None),
+    "profile-csv-none": lambda: profile_to_csv(None),
+    "tes-csv-none": lambda: tes_to_csv(None),
+    "canvas-width-str": lambda: CanvasSpec("1000"),
+    "canvas-width-none": lambda: CanvasSpec(None),
+    "parse-profile-none": lambda: parse_profile(None),
+    "parse-profile-str": lambda: parse_profile("text"),
+    "parse-tes-profile-none": lambda: parse_tes(b"", None),
+    "parse-tes-data-str": lambda: parse_tes("", profile_of(2001)),
+    "csv-error-report-none": lambda: CsvValidationError(None),
 }
 
 

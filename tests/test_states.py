@@ -3,13 +3,12 @@ import random
 from helpers import random_instance, tes_matrix
 from topictree.builder import build_tet
 from topictree.model import (
+    ROOT_INDEX,
     EmergingState,
     EvolutionParams,
     EvolvingState,
     TemporalTopicProfile,
     TopicRecord,
-    classify_emerging,
-    classify_evolving,
 )
 
 A, B, C, D, E, F, G, H, I, J, K = range(11)
@@ -35,14 +34,14 @@ def two_topic_tet(year_a, year_b, tes, params):
 
 class TestEmerging:
     def test_fixture_born(self, tet_exclusive):
-        assert classify_emerging(tet_exclusive, A) is BORN
+        assert tet_exclusive.states[A][0] is BORN
 
     def test_fixture_fused(self, tet_exclusive):
-        assert classify_emerging(tet_exclusive, F) is FUSED
+        assert tet_exclusive.states[F][0] is FUSED
 
     def test_fixture_reborn_gap_exceeds_threshold(self, tet_exclusive):
         # H's sole parent is three years back, min_reborn is 2
-        assert classify_emerging(tet_exclusive, H) is REBORN
+        assert tet_exclusive.states[H][0] is REBORN
 
     def test_two_parents_is_fused_even_with_large_gaps(self):
         # fused beats reborn when both could apply
@@ -54,26 +53,26 @@ class TestEmerging:
         profile = TemporalTopicProfile(topics=topics)
         matrix = tes_matrix(((), (0.0,), (0.9, 0.9)))
         tet = build_tet(profile, matrix, EvolutionParams(min_reborn=2))
-        assert classify_emerging(tet, 2) is FUSED
+        assert tet.states[2][0] is FUSED
 
     def test_gap_equal_to_threshold_is_flourishing(self):
         tet = two_topic_tet(2000, 2002, 0.9, EvolutionParams(min_reborn=2))
-        assert classify_emerging(tet, 1) is EM_FLOURISHING
+        assert tet.states[1][0] is EM_FLOURISHING
 
 
 class TestEvolving:
     def test_fixture_split(self, tet_exclusive):
-        assert classify_evolving(tet_exclusive, A) is SPLIT
+        assert tet_exclusive.states[A][1] is SPLIT
 
     def test_fixture_dead(self, tet_exclusive):
-        assert classify_evolving(tet_exclusive, C) is DEAD
+        assert tet_exclusive.states[C][1] is DEAD
 
     def test_fixture_incubating_is_flourishing(self, tet_exclusive):
         # I is childless with gap 1, and 1 > min_dead=1 is false
-        assert classify_evolving(tet_exclusive, I) is EV_FLOURISHING
+        assert tet_exclusive.states[I][1] is EV_FLOURISHING
 
     def test_childless_latest_year_topic_is_flourishing(self, tet_exclusive):
-        assert classify_evolving(tet_exclusive, K) is EV_FLOURISHING
+        assert tet_exclusive.states[K][1] is EV_FLOURISHING
 
 
 class TestClassifyAll:
@@ -124,19 +123,38 @@ class TestClassifyAll:
         assert tet.states == reference.states
 
     def test_exhaustive_and_exclusive_on_random_instances(self):
+        # each topic's pair, re-derived from the edges by the README's rules
         rng = random.Random(4321)
+        seen = set()
         for _ in range(300):
             profile, matrix, params = random_instance(rng)
             tet = build_tet(profile, matrix, params)
-            assert set(tet.states) == {t.index for t in profile.topics}
-            for v, (emerging, evolving) in tet.states.items():
-                assert isinstance(emerging, EmergingState)
-                assert isinstance(evolving, EvolvingState)
-                # structural implications
-                if evolving is DEAD:
-                    assert tet.children_of(v) == ()
-                if evolving is SPLIT:
-                    assert len(tet.children_of(v)) >= 2
-                assert (emerging is BORN) == (not tet.parents_of(v))
-                if tet.profile.year_of(v) == tet.latest_year:
-                    assert evolving is not DEAD
+            year = {t.index: t.year for t in profile.topics}
+            latest = max(year.values())
+            parents = {v: [] for v in year}
+            children = {v: [] for v in year}
+            for e in tet.edges:
+                if e.from_index != ROOT_INDEX:
+                    parents[e.to_index].append(e.from_index)
+                    children[e.from_index].append(e.to_index)
+            expected = {}
+            for v in year:
+                ps, cs = parents[v], children[v]
+                if not ps:
+                    emerging = BORN
+                elif len(ps) >= 2:
+                    emerging = FUSED
+                elif year[v] - year[ps[0]] > params.min_reborn:
+                    emerging = REBORN
+                else:
+                    emerging = EM_FLOURISHING
+                if len(cs) >= 2:
+                    evolving = SPLIT
+                elif not cs and latest - year[v] > params.min_dead:
+                    evolving = DEAD
+                else:
+                    evolving = EV_FLOURISHING
+                expected[v] = (emerging, evolving)
+            assert list(tet.states.items()) == list(expected.items())
+            seen.update(state for pair in expected.values() for state in pair)
+        assert seen == set(EmergingState) | set(EvolvingState)
