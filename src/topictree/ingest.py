@@ -20,7 +20,7 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import compress
 
-from .model import TemporalTopicProfile, TesMatrix, TopicRecord, _Value, non_xml_char, require_type
+from .model import TemporalTopicProfile, TesMatrix, TopicRecord, _Value, non_xml_char, require_int, require_str, require_type
 
 # Profile error codes.
 MISSING_HEADER = "MissingHeader"
@@ -70,7 +70,11 @@ class ValidationIssue(_Value):
     """One located problem; ``column`` is a field name (profile) or 1-based position (matrix)."""
 
     def __init__(self, row: int | None, column: str | int | None, code: str, message: str) -> None:
-        self._store(row, column, code, message)
+        if row is not None:
+            require_int(row, "issue row")
+        if column is not None and not isinstance(column, str):
+            require_int(column, "issue column")
+        self._store(row, column, require_str(code, "issue code"), require_str(message, "issue message"))
 
     def format(self) -> str:
         where = []
@@ -89,7 +93,13 @@ class ValidationReport(_Value):
     __setattr__, __delattr__ = object.__setattr__, object.__delattr__
 
     def __init__(self, errors: list[ValidationIssue] | None = None, warnings: list[ValidationIssue] | None = None) -> None:
-        self._store([] if errors is None else errors, [] if warnings is None else warnings)
+        errors = [] if errors is None else errors
+        warnings = [] if warnings is None else warnings
+        for name, issues in (("errors", errors), ("warnings", warnings)):
+            require_type(issues, list, name)
+            for issue in issues:
+                require_type(issue, ValidationIssue, f"{name} entry")
+        self._store(errors, warnings)
 
     def error(self, row: int | None, column: str | int | None, code: str, message: str) -> None:
         self.errors.append(ValidationIssue(row, column, code, message))

@@ -70,13 +70,24 @@ def require_words(value: object, where: str) -> tuple[str, ...]:
 
 class _Value:
     """An immutable value whose fields are its ``__init__`` parameters, in order; it is
-    compared, hashed and shown as ``Name(field=value, ...)`` by them alone."""
+    compared, hashed and shown as ``Name(field=value, ...)`` by them alone.
 
+    A subclass that declares ``__slots__`` must list exactly its fields, in
+    order; one without keeps a ``__dict__`` for cached properties. Copies and
+    pickles are rebuilt through the constructor, so they are checked again.
+    """
+
+    __slots__ = ()
     _fields: tuple[str, ...]
 
     def __init_subclass__(cls) -> None:
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
+        if cls.__dict__.get("__slots__", cls._fields) != cls._fields:
+            raise TypeError(f"{cls.__name__}.__slots__ must be its fields {cls._fields}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
 
     def _store(self, *values: object) -> None:
         for name, value in zip(self._fields, values):
@@ -129,6 +140,8 @@ class EvolvingState(enum.Enum):
 
 class TopicRecord(_Value):
     """One time-stamped topic: identity, importance weight and top terms."""
+
+    __slots__ = ("id", "index", "weight", "year", "words", "label")
 
     def __init__(
         self, id: str, index: int, weight: float, year: int, words: tuple[str, ...], label: str | None = None
@@ -279,6 +292,8 @@ class EvolutionParams(_Value):
 class TetEdge(_Value):
     """Directed ancestry edge; ``from_index`` is ROOT_INDEX for root edges."""
 
+    __slots__ = ("from_index", "to_index", "tes")
+
     def __init__(self, from_index: int, to_index: int, tes: float) -> None:
         if require_int(from_index, "from_index") < ROOT_INDEX:
             raise ValueError(f"from_index must be >= {ROOT_INDEX}, got {from_index}")
@@ -325,8 +340,10 @@ class Tet(_Value):
         require_type(edges, tuple, "edges")
         require_type(params, EvolutionParams, "params")
         self._store(profile, edges, params)
-        parents: dict[int, list[int]] = {t.index: [] for t in profile.topics}
-        seen: set[tuple[int, int]] = set()
+        # Each topic's parents as an insertion-ordered set: a duplicate edge
+        # is found in O(1) and the parents stay in edge order.
+        parents: dict[int, dict[int, None]] = {t.index: {} for t in profile.topics}
+        rooted: set[int] = set()
         for e in edges:
             require_type(e, TetEdge, "edge")
             if e.to_index not in parents:
@@ -341,13 +358,17 @@ class Tet(_Value):
                         f"edge {e.from_index}->{e.to_index} carries tes {e.tes}, "
                         f"which fails the min_tes gate"
                     )
-                parents[e.to_index].append(e.from_index)
-            if (e.from_index, e.to_index) in seen:
+                ps = parents[e.to_index]
+                duplicate = e.from_index in ps
+                ps[e.from_index] = None
+            else:
+                duplicate = e.to_index in rooted
+                rooted.add(e.to_index)
+            if duplicate:
                 raise ValueError(f"duplicate edge {e.from_index}->{e.to_index}")
-            seen.add((e.from_index, e.to_index))
         # Indices are exactly 0..N-1, so both checks run in ascending index.
         for v in range(len(parents)):
-            has_root = (ROOT_INDEX, v) in seen
+            has_root = v in rooted
             if has_root and parents[v]:
                 raise ValueError(f"topic {v} has both a root edge and parents")
             if not has_root and not parents[v]:

@@ -398,7 +398,8 @@ def tet_from_json(text: str) -> Tet:
                 to_index=require_int(e["to_index"], f"edges[{k}].to_index"),
                 tes=require_number(e["tes"], f"edges[{k}].tes"),
             )
-            for k, e in enumerate(doc["edges"])
+            # popped, so the raw edge records are freed before the tree is validated
+            for k, e in enumerate(doc.pop("edges"))
         )
         latest_year = require_int(doc["latest_year"], "latest_year")
         tet = Tet(profile=TemporalTopicProfile(topics=tuple(topics)), edges=edges, params=params)

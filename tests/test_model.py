@@ -4,10 +4,19 @@ import pytest
 
 from helpers import dense, tes_matrix
 from topictree.builder import build_tet
-from topictree.ingest import CsvValidationError, parse_profile, parse_tes, profile_to_csv, tes_to_csv
+from topictree.ingest import (
+    CsvValidationError,
+    ValidationIssue,
+    ValidationReport,
+    parse_profile,
+    parse_tes,
+    profile_to_csv,
+    tes_to_csv,
+)
 from topictree.layout import CanvasSpec
 from topictree.model import (
     ROOT_INDEX,
+    EmergingState,
     EvolutionParams,
     TemporalTopicProfile,
     TesMatrix,
@@ -298,6 +307,36 @@ class TestTet:
         with pytest.raises(ValueError, match="duplicate"):
             make_tet(p, [(ROOT_INDEX, 0, 1.0), (0, 1, 0.5), (0, 1, 0.5)])
 
+    def test_duplicate_root_edge_rejected(self):
+        p = profile_of(2001, 2002)
+        with pytest.raises(ValueError) as info:
+            make_tet(p, [(ROOT_INDEX, 0, 1.0), (ROOT_INDEX, 0, 1.0), (0, 1, 0.5)])
+        assert str(info.value) == "duplicate edge -1->0"
+
+    @pytest.mark.parametrize(
+        "edge_triples,message",
+        [
+            ([(ROOT_INDEX, 0, 1.0), (0, 1, 0.5), (0, 1, 0.5), (0, 9, 0.5)], "duplicate edge 0->1"),
+            ([(ROOT_INDEX, 0, 1.0), (0, 1, 0.5), (0, 9, 0.5), (0, 1, 0.5)], "edge targets unknown topic index 9"),
+            ([(ROOT_INDEX, 0, 1.0), (ROOT_INDEX, 0, 1.0), (ROOT_INDEX, 9, 1.0)], "duplicate edge -1->0"),
+            ([(ROOT_INDEX, 0, 1.0), (ROOT_INDEX, 9, 1.0), (ROOT_INDEX, 0, 1.0)], "edge targets unknown topic index 9"),
+        ],
+        ids=["duplicate-then-unknown", "unknown-then-duplicate", "root-duplicate-then-unknown", "root-unknown-then-duplicate"],
+    )
+    def test_first_faulty_edge_in_edge_order(self, edge_triples, message):
+        with pytest.raises(ValueError) as info:
+            make_tet(profile_of(2001, 2002), edge_triples)
+        assert str(info.value) == message
+
+    def test_wide_fan_in_accepted(self):
+        # one topic with 5000 unrelated parents, each attached to the root
+        n = 5000
+        p = profile_of(*[2001] * n, 2002)
+        edges = [(ROOT_INDEX, u, 1.0) for u in range(n)] + [(u, n, 0.5) for u in range(n)]
+        tet = make_tet(p, edges)
+        assert tet.parents_of(n) == tuple(range(n))
+        assert tet.states[n][0] is EmergingState.FUSED
+
     def test_related_parents_rejected(self):
         # 0 -> 1 -> 2 plus 0 -> 2: parents {0, 1} of 2 lie on one pathway
         p = profile_of(2001, 2002, 2003)
@@ -388,6 +427,16 @@ WRONG_TYPES = {
     "parse-tes-profile-none": lambda: parse_tes(b"", None),
     "parse-tes-data-str": lambda: parse_tes("", profile_of(2001)),
     "csv-error-report-none": lambda: CsvValidationError(None),
+    "report-errors-int": lambda: ValidationReport(errors=5),
+    "report-warnings-tuple": lambda: ValidationReport(warnings=()),
+    "report-error-none": lambda: ValidationReport(errors=[None]),
+    "report-warning-str": lambda: ValidationReport(warnings=["re-sorted"]),
+    "csv-error-report-entry-none": lambda: CsvValidationError(ValidationReport(errors=[None])),
+    "issue-row-str": lambda: ValidationIssue("2", "weight", "BadWeight", "x"),
+    "issue-row-bool": lambda: ValidationIssue(True, "weight", "BadWeight", "x"),
+    "issue-column-float": lambda: ValidationIssue(2, 1.5, "BadWeight", "x"),
+    "issue-code-none": lambda: ValidationIssue(2, "weight", None, "x"),
+    "issue-message-int": lambda: ValidationIssue(2, "weight", "BadWeight", 7),
 }
 
 

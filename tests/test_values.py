@@ -17,6 +17,7 @@ from topictree.model import (
     TetEdge,
     ThresholdMode,
     TopicRecord,
+    _Value,
 )
 
 
@@ -111,6 +112,8 @@ SIGNATURES = {
 MUTABLE = {"ValidationReport"}
 #: Types that hold a list or dict, so they cannot be hashed.
 UNHASHABLE = {"ValidationReport"}
+#: Types held once per topic or edge, stored in slots without a per-instance dict.
+SLOTTED = {"TetEdge", "TopicRecord"}
 
 NAMES = sorted(VALUES)
 
@@ -133,8 +136,9 @@ def test_equal_fields_make_equal_values(name):
 def test_never_equal_to_another_class(name):
     value = VALUES[name][0]()
     subclass = type("Sub", (type(value),), {})
-    fields = tuple(getattr(value, field) for field in inspect.signature(type(value)).parameters)
-    others = [fields, vars(value), object(), subclass(*fields)]
+    names = list(inspect.signature(type(value)).parameters)
+    fields = tuple(getattr(value, field) for field in names)
+    others = [fields, dict(zip(names, fields)), object(), subclass(*fields)]
     others += [VALUES[other][0]() for other in NAMES if other != name]
     for other in others:
         assert value != other and other != value
@@ -149,7 +153,9 @@ def test_repr_is_pinned(name):
 @pytest.mark.parametrize("name", NAMES)
 def test_fields_are_read_only(name):
     value = VALUES[name][0]()
-    field = next(iter(vars(value)))
+    field = next(iter(inspect.signature(type(value)).parameters))
+    if name in SLOTTED:
+        assert not hasattr(value, "__dict__")
     if name in MUTABLE:
         setattr(value, field, [])
         assert getattr(value, field) == []
@@ -172,6 +178,16 @@ def test_copies_and_pickles_are_equal(name, duplicate):
     assert repr(twin) == repr(value)
 
 
+def test_slots_must_be_the_fields():
+    with pytest.raises(TypeError, match="__slots__ must be its fields"):
+
+        class Swapped(_Value):
+            __slots__ = ("b", "a")
+
+            def __init__(self, a, b):
+                self._store(a, b)
+
+
 @pytest.mark.parametrize("name", sorted(SIGNATURES))
 def test_constructor_signature_is_pinned(name):
     cls = type(VALUES[name][0]())
@@ -185,7 +201,8 @@ def test_report_defaults_to_fresh_empty_lists():
     assert a.errors == a.warnings == [] and a == b
     a.error(1, None, "BadCsv", "x")
     assert b.errors == [] and a != b
-    assert ValidationReport([1], [2]).errors == [1]
+    issue, other = ValidationIssue(1, None, "BadCsv", "x"), ValidationIssue(None, 2, "RowsResorted", "y")
+    assert ValidationReport([issue], [other]).errors == [issue]
 
 
 @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))])
