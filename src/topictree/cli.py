@@ -2,23 +2,28 @@
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 bad arguments.
 Configuration is flags-only; no environment variables are consulted. Output
-files are written via temp-then-rename, with the mode a plain write would give,
-so failures never leave partial files; an existing device or FIFO is written directly.
+documents are written as they are generated, after every check and the
+layout. Files are written via temp-then-rename, with the mode a plain write
+would give, so failures never leave partial files; an existing device or FIFO
+is written directly.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
+from itertools import chain, islice
 from pathlib import Path
 
 from .builder import build_tet
 from .ingest import CsvValidationError, ValidationReport, parse_profile, parse_tes
 from .layout import CanvasSpec
 from .model import EvolutionParams, Tet, ThresholdMode
-from .render import tet_from_json, to_dot, to_json, to_svg
+from .render import _dot_lines, _json_lines, _svg_lines, tet_from_json
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -109,23 +114,62 @@ def _print_report(report: ValidationReport) -> None:
         print(line, file=sys.stderr)
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write atomically: temp file in the target directory, then rename.
+#: Pieces joined into one write: a write per piece costs more than the join.
+_BATCH = 512
 
-    An existing target that is not a regular file (a device, a FIFO) is
-    written directly, since renaming over it would replace it. Standard
-    output gets UTF-8, as a file does, whatever the locale's encoding.
+
+def _next_batch(pieces: Iterator[str]) -> bytes:
+    """The next ``_BATCH`` pieces as UTF-8, each ended by a newline; empty at the end."""
+    batch = list(islice(pieces, _BATCH))
+    if batch:
+        batch.append("")  # so the join ends the last piece too
+    text = "\n".join(batch)
+    del batch  # the pieces go before the text is encoded
+    return text.encode("utf-8")
+
+
+def _write_batches(handle: io.RawIOBase | io.BufferedIOBase, pieces: Iterator[str]) -> None:
+    """Write ``pieces`` to ``handle``, one batch alive at a time."""
+    while data := _next_batch(pieces):
+        written = handle.write(data)
+        if written != len(data):  # a pipe whose reader has gone can take part of a write and raise nothing
+            raise OSError(f"write cut short: {written} of {len(data)} bytes written")
+        del data  # so the next batch is made without this one
+
+
+def _write_text(path: str, pieces: Iterable[str]) -> None:
+    """Write the document whose lines, without newlines, are ``pieces``,
+    a batch of lines at a time.
+
+    The first piece is made before anything is opened, so every check and
+    the layout finish before a byte is written. A regular file is written
+    atomically: temp file in the target directory, then rename. An existing
+    target that is not a regular file (a device, a FIFO) is written directly,
+    since renaming over it would replace it. Standard output gets UTF-8, as
+    a file does, whatever the locale's encoding. A write that fails part way
+    is an ``OSError``; on standard output or a device it can leave partial
+    output.
     """
+    pieces = iter(pieces)
+    pieces = chain((next(pieces),), pieces)
     if path == "-":
         if sys.stdout is None:  # started with file descriptor 1 closed
             raise OSError("standard output is closed")
         sys.stdout.flush()
-        sys.stdout.buffer.write(text.encode("utf-8"))
+        try:
+            _write_batches(sys.stdout.buffer, pieces)
+            sys.stdout.buffer.flush()
+        except OSError:
+            # bytes left in the buffer would fail again at exit, with a second message
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise
         return
     target = Path(path)
     if target.exists() and not target.is_file():
-        with open(target, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(target, "wb") as handle:
+            _write_batches(handle, pieces)
         return
     umask = os.umask(0o077)  # reading the umask means setting it
     os.umask(umask)
@@ -133,8 +177,8 @@ def _write_text(path: str, text: str) -> None:
     fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
     try:
         os.chmod(tmp_name, mode)
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            _write_batches(handle, pieces)
         os.replace(tmp_name, target)
     except BaseException:
         try:
@@ -153,14 +197,14 @@ def _build_from_args(args: argparse.Namespace) -> Tet:
     return build_tet(profile, matrix, params)
 
 
-def _render_text(tet: Tet, fmt: str, canvas: CanvasSpec, show_root: bool) -> str:
+def _render_text(tet: Tet, fmt: str, canvas: CanvasSpec, show_root: bool) -> Iterator[str]:
     if fmt == "dot":
-        return to_dot(tet, show_root=show_root)
-    return to_svg(tet, canvas, show_root=show_root)
+        return _dot_lines(tet, show_root)
+    return _svg_lines(tet, canvas, show_root)
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    _write_text(args.out, to_json(_build_from_args(args)))
+    _write_text(args.out, _json_lines(_build_from_args(args)))
     return EXIT_OK
 
 
@@ -177,7 +221,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     tet = _build_from_args(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_text(str(out_dir / "tet.json"), to_json(tet))
+    _write_text(str(out_dir / "tet.json"), _json_lines(tet))
     for fmt in ("svg", "dot"):
         _write_text(str(out_dir / f"tet.{fmt}"), _render_text(tet, fmt, canvas, args.show_root))
     return EXIT_OK

@@ -4,7 +4,9 @@ All three emitters are pure and byte-deterministic: element ids are stable
 (``node-<index>``, ``edge-<from>-<to>``), floats are written in a fixed
 format, and iteration follows profile/edge order. The JSON document is the
 canonical machine-readable form and round-trips losslessly through
-:func:`tet_from_json`.
+:func:`tet_from_json`. Each emitter joins the lines of a private generator
+(``_svg_lines``, ``_dot_lines``, ``_json_lines``), which the CLI writes as
+they are made instead.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import json
 import math
 import re
 from bisect import bisect_right
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 from .ingest import format_number
 from .layout import CanvasSpec, _x_of_year, _y_of_weight, compute_positions, place_labels
@@ -184,6 +188,11 @@ def to_svg(tet: Tet, canvas: CanvasSpec | None = None, show_root: bool = False) 
     its TES bin, axes with year/weight ticks, and the two legends. The root
     and its edges are hidden unless ``show_root`` is set.
     """
+    return "\n".join(_svg_lines(tet, canvas, show_root)) + "\n"
+
+
+def _svg_lines(tet: Tet, canvas: CanvasSpec | None, show_root: bool) -> Iterator[str]:
+    """The lines of :func:`to_svg`'s document, without newlines; the checks and the layout run before the first."""
     require_type(tet, Tet, "tet")
     canvas = CanvasSpec() if canvas is None else canvas
     require_type(canvas, CanvasSpec, "canvas")
@@ -191,25 +200,25 @@ def to_svg(tet: Tet, canvas: CanvasSpec | None = None, show_root: bool = False) 
     boxes = place_labels(positions, {t.index: t.display_label for t in tet.profile.topics})
     r = canvas.glyph_radius
 
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    yield '<?xml version="1.0" encoding="UTF-8"?>'
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(canvas.width)}" '
-        f'height="{_fmt(canvas.height)}" viewBox="0 0 {_fmt(canvas.width)} {_fmt(canvas.height)}">',
-        "<defs>",
-    ]
+        f'height="{_fmt(canvas.height)}" viewBox="0 0 {_fmt(canvas.width)} {_fmt(canvas.height)}">'
+    )
+    yield "<defs>"
     for token, fill, _ in (*TES_BINS, ("root", _ROOT_STROKE, "")):
-        lines.append(
+        yield (
             f'<marker id="arrow-{token}" viewBox="0 0 10 10" refX="9" refY="5" '
             f'markerWidth="7" markerHeight="7" orient="auto-start-reverse">'
             f'<path d="M 0 0 L 10 5 L 0 10 Z" fill="{fill}"/></marker>'
         )
-    lines.append("</defs>")
-    lines.append(f'<rect width="{_fmt(canvas.width)}" height="{_fmt(canvas.height)}" fill="#ffffff"/>')
-    lines.extend(_svg_axes(tet.profile.distinct_years, canvas))
+    yield "</defs>"
+    yield f'<rect width="{_fmt(canvas.width)}" height="{_fmt(canvas.height)}" fill="#ffffff"/>'
+    yield from _svg_axes(tet.profile.distinct_years, canvas)
 
     root_pos = (canvas.plot_left - 35, (canvas.plot_top + canvas.plot_bottom) / 2)
 
-    lines.append('<g id="edges">')
+    yield '<g id="edges">'
     for e in tet.edges:
         if e.is_root_edge:
             if not show_root:
@@ -218,43 +227,42 @@ def to_svg(tet: Tet, canvas: CanvasSpec | None = None, show_root: bool = False) 
         else:
             start = positions[e.from_index]
             token, stroke, _ = tes_bin(e.tes)
-        lines.append(_svg_edge_path(e, start, positions[e.to_index], r, stroke, token))
-    lines.append("</g>")
+        yield _svg_edge_path(e, start, positions[e.to_index], r, stroke, token)
+    yield "</g>"
 
-    lines.append('<g id="nodes">')
+    yield '<g id="nodes">'
     if show_root:
         rx, ry = root_pos
-        lines.append('<g id="node-root" class="node-root">')
-        lines.append(
+        yield '<g id="node-root" class="node-root">'
+        yield (
             f'<circle cx="{_fmt(rx)}" cy="{_fmt(ry)}" r="{_fmt(r * 0.6)}" fill="{_ROOT_STROKE}" stroke="none"/>'
         )
-        lines.append("</g>")
+        yield "</g>"
     for topic in tet.profile.topics:
         x, y = positions[topic.index]
         emerging, evolving = tet.states[topic.index]
-        lines.append(f'<g id="node-{topic.index}" class="node">')
-        lines.append(_svg_half_circle(x, y, r, True, EMERGING_FILL[emerging]))
-        lines.append(_svg_half_circle(x, y, r, False, EVOLVING_FILL[evolving]))
-        lines.append(
+        yield f'<g id="node-{topic.index}" class="node">'
+        yield _svg_half_circle(x, y, r, True, EMERGING_FILL[emerging])
+        yield _svg_half_circle(x, y, r, False, EVOLVING_FILL[evolving])
+        yield (
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" fill="none" stroke="#333333" stroke-width="1"/>'
         )
-        lines.append("</g>")
-    lines.append("</g>")
+        yield "</g>"
+    yield "</g>"
 
-    lines.append('<g id="labels">')
+    yield '<g id="labels">'
     for topic in tet.profile.topics:
         x0, y0, x1, y1 = boxes[topic.index]
         cx = (x0 + x1) / 2
         baseline = (y0 + y1) / 2 + 4
-        lines.append(
+        yield (
             f'<text class="node-label" x="{_fmt(cx)}" y="{_fmt(baseline)}" {_FONT} '
             f'font-size="11" text-anchor="middle">{_escape(topic.display_label)}</text>'
         )
-    lines.append("</g>")
+    yield "</g>"
 
-    lines.extend(_svg_legends(canvas))
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    yield from _svg_legends(canvas)
+    yield "</svg>"
 
 
 # --------------------------------------------------------------------------
@@ -273,29 +281,37 @@ def to_dot(tet: Tet, show_root: bool = False) -> str:
     is omitted unless requested, so the default output contains exactly the
     topics and their evolutionary relationships.
     """
+    return "\n".join(_dot_lines(tet, show_root)) + "\n"
+
+
+def _dot_lines(tet: Tet, show_root: bool) -> Iterator[str]:
+    """The lines of :func:`to_dot`'s document, without newlines; the check and the sorts run before the first."""
     require_type(tet, Tet, "tet")
-    lines = ["digraph tet {", "  rankdir=LR;"]
+    topics = sorted(tet.profile.topics, key=lambda t: t.index)
+    edges = sorted(tet.edges, key=attrgetter("to_index"))
+    edges.sort(key=attrgetter("from_index"))  # stable, so by (from, to), with no key tuple per edge
+    yield "digraph tet {"
+    yield "  rankdir=LR;"
     if show_root:
-        lines.append('  "root" [shape=point, label="root"];')
-    for topic in sorted(tet.profile.topics, key=lambda t: t.index):
+        yield '  "root" [shape=point, label="root"];'
+    for topic in topics:
         emerging, evolving = tet.states[topic.index]
-        lines.append(
+        yield (
             f"  {_dot_quote(topic.id)} [label={_dot_quote(topic.display_label)}, "
             f'year="{topic.year}", weight="{format_number(topic.weight)}", '
             f'emerging="{emerging.value}", evolving="{evolving.value}"];'
         )
-    for e in sorted(tet.edges, key=lambda e: (e.from_index, e.to_index)):
+    for e in edges:
         if e.is_root_edge:
             if not show_root:
                 continue
-            lines.append(f'  "root" -> {_dot_quote(tet.profile.topic(e.to_index).id)};')
+            yield f'  "root" -> {_dot_quote(tet.profile.topic(e.to_index).id)};'
         else:
-            lines.append(
+            yield (
                 f"  {_dot_quote(tet.profile.topic(e.from_index).id)} -> "
                 f'{_dot_quote(tet.profile.topic(e.to_index).id)} [tes="{format_number(e.tes)}"];'
             )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield "}"
 
 
 # --------------------------------------------------------------------------
@@ -309,31 +325,39 @@ def to_json(tet: Tet) -> str:
     The bytes are those of ``json.dumps(doc, indent=2)``, written from one
     template per node and per edge with the primitives that encoder uses.
     """
+    return "\n".join(_json_lines(tet)) + "\n"
+
+
+def _json_lines(tet: Tet) -> Iterator[str]:
+    """:func:`to_json`'s document in pieces joined by newlines: the header,
+    each node and edge record with its separating comma, and the closers.
+    The check runs before the first piece."""
     require_type(tet, Tet, "tet")
     s, i, f = encode_basestring_ascii, int.__repr__, float.__repr__
     p = tet.params
-    parts = [
+    yield (
         f'{{\n  "params": {{\n    "min_tes": {f(p.min_tes)},\n    "min_reborn": {i(p.min_reborn)},\n'
         f'    "min_dead": {i(p.min_dead)},\n    "threshold_mode": {s(p.threshold_mode.value)}\n  }},\n'
-        f'  "latest_year": {i(tet.profile.latest_year)},\n  "nodes": [\n'
-    ]
+        f'  "latest_year": {i(tet.profile.latest_year)},\n  "nodes": ['
+    )
     # The model guarantees non-empty nodes, edges and words, so no list is ever written as [].
-    for t in tet.profile.topics:
+    topics = tet.profile.topics
+    for k, t in enumerate(topics, 1):
         emerging, evolving = tet.states[t.index]
         label = "null" if t.label is None else s(t.label)
         words = ",\n        ".join(map(s, t.words))
-        record = (
+        comma = "," if k < len(topics) else ""
+        yield (
             f'    {{\n      "id": {s(t.id)},\n      "index": {i(t.index)},\n      "label": {label},\n'
             f'      "year": {i(t.year)},\n      "weight": {f(t.weight)},\n      "words": [\n        {words}\n      ],\n'
-            f'      "emerging_state": {s(emerging.value)},\n      "evolving_state": {s(evolving.value)}\n    }}'
+            f'      "emerging_state": {s(emerging.value)},\n      "evolving_state": {s(evolving.value)}\n    }}{comma}'
         )
-        parts += (record, ",\n")
-    parts[-1] = '\n  ],\n  "edges": [\n'  # the last separator closes the list
-    for e in tet.edges:
-        record = f'    {{\n      "from_index": {i(e.from_index)},\n      "to_index": {i(e.to_index)},\n      "tes": {f(e.tes)}\n    }}'
-        parts += (record, ",\n")
-    parts[-1] = "\n  ]\n}\n"  # the last separator closes the list
-    return "".join(parts)
+    yield '  ],\n  "edges": ['
+    edges = tet.edges
+    for k, e in enumerate(edges, 1):
+        comma = "," if k < len(edges) else ""
+        yield f'    {{\n      "from_index": {i(e.from_index)},\n      "to_index": {i(e.to_index)},\n      "tes": {f(e.tes)}\n    }}{comma}'
+    yield "  ]\n}"
 
 
 # A JSON string literal (closed or not) or one bracket; strings are skipped whole.
@@ -372,6 +396,7 @@ def tet_from_json(text: str) -> Tet:
         raise ValueError(
             f"malformed TET JSON: nested too deeply to parse at {_deepest_bracket(text)}"
         ) from None
+    del text  # only the message above reads it, so it is freed before the tree is built
     try:
         raw_params = doc["params"]
         params = EvolutionParams(

@@ -30,10 +30,12 @@ from topictree.layout import (
     _label_box,
 )
 from topictree.model import (
+    ROOT_INDEX,
     EvolutionParams,
     TemporalTopicProfile,
     TesMatrix,
     Tet,
+    TetEdge,
     ThresholdMode,
     TopicRecord,
 )
@@ -114,6 +116,42 @@ def crowded_instance(
         for j in range(n)
     )
     return profile, TesMatrix(columns=columns), EvolutionParams()
+
+
+class _Loud(int):
+    """An integer that prints as a word: JSON must still write its digits."""
+
+    def __format__(self, spec=""):
+        return "loud"
+
+    __repr__ = __str__ = __format__
+
+
+def odd_tets() -> list[Tet]:
+    """Trees whose JSON meets what the random trees never do: a None label,
+    non-ASCII and astral text, quote, backslash, tab and ``</``, tiny and
+    inexact weights, negative, 30-digit and subclassed integer years,
+    exclusive mode, and a lone root-only topic."""
+    topics = (
+        TopicRecord(id="é", index=0, weight=1e-07, year=-5, words=("日本", "😀")),
+        TopicRecord(id='say "hi"', index=1, weight=0.1, year=10**29, words=("back\\slash", "tab\there"), label="</svg>"),
+        TopicRecord(id="t2", index=2, weight=1.0, year=_Loud(10**29 + 1), words=("w",), label="café 日本 😀"),
+    )
+    edges = (
+        TetEdge(from_index=ROOT_INDEX, to_index=0, tes=1.0),
+        TetEdge(from_index=0, to_index=1, tes=1e-07),
+        TetEdge(from_index=1, to_index=2, tes=0.1),
+    )
+    params = EvolutionParams(min_tes=0.0, min_reborn=_Loud(3), threshold_mode=ThresholdMode.EXCLUSIVE)
+    lone = TopicRecord(id="only", index=0, weight=0.5, year=2001, words=("w",))
+    return [
+        Tet(profile=TemporalTopicProfile(topics=topics), edges=edges, params=params),
+        Tet(
+            profile=TemporalTopicProfile(topics=(lone,)),
+            edges=(TetEdge(from_index=ROOT_INDEX, to_index=0, tes=1.0),),
+            params=EvolutionParams(),
+        ),
+    ]
 
 
 def tes_matrix(columns) -> TesMatrix:

@@ -1,4 +1,4 @@
-"""The pure parts of tools/bench_pairs.py: quartiles, win counts and failure counts.
+"""The pure parts of tools/bench_pairs.py: quartiles, win counts, failure counts and the run order.
 
 No git command and no perfbench run happens here.
 """
@@ -68,3 +68,46 @@ class TestReport:
         assert out[0] == "parent: 3 of 30 invocations failed; 1 of 3 runs not correct"
         assert out[1] == "change: 0 of 32 invocations failed; 2 of 3 runs not correct"
 
+
+
+class TestWorkloads:
+    def test_default_is_every_benchmark_workload(self):
+        assert bench_pairs.benchmark_workloads() == ["run-dense", "render-crowded", "build-wide", "render-deep"]
+
+    def test_each_pair_runs_every_workload_in_both_copies_in_alternating_order(self):
+        calls = []
+
+        def run(copy, workload, seed):
+            calls.append((copy, workload, seed))
+            return result(len(calls), 0.5)
+
+        pairs = bench_pairs.collect("old", "new", ["a", "b"], 3, 3, run)
+        assert [(copy, workload) for copy, workload, _ in calls] == [
+            ("old", "a"), ("new", "a"), ("old", "b"), ("new", "b"),
+            ("new", "a"), ("old", "a"), ("new", "b"), ("old", "b"),
+            ("old", "a"), ("new", "a"), ("old", "b"), ("new", "b"),
+        ]
+        assert {seed for _, _, seed in calls} == {3}
+        # each pair keeps the parent's result first, whichever copy ran first
+        walls = {w: [(p["metrics"]["wall_s"]["value"], c["metrics"]["wall_s"]["value"]) for p, c in v] for w, v in pairs.items()}
+        assert walls == {"a": [(1, 2), (6, 5), (9, 10)], "b": [(3, 4), (8, 7), (11, 12)]}
+
+    def test_report_has_one_block_per_workload(self, monkeypatch, capsys, tmp_path):
+        seen = []
+        monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: rev)
+        monkeypatch.setattr(bench_pairs, "benchmark_workloads", lambda: ["x", "y", "z"])
+
+        def run_once(copy, workload, seed):
+            seen.append(workload)
+            return result(0.2, 0.5, exit=int(workload == "y" and copy.name == "new"))
+
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        assert bench_pairs.main(["p", "c", "--workload", "y", "--workload", "x", "--pairs", "2"]) == 1
+        out = capsys.readouterr().out
+        assert set(seen) == {"x", "y"}
+        assert out.count("\n=== workload ") == 2 and out.index("=== workload y") < out.index("=== workload x")
+        assert "change: 0 of 20 invocations failed; 2 of 2 runs not correct" in out.split("=== workload y")[1]
+        assert bench_pairs.main(["p", "c", "--pairs", "1"]) == 1  # y still fails
+        assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("===")] == [
+            "=== workload x ===", "=== workload y ===", "=== workload z ===",
+        ]

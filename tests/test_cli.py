@@ -6,14 +6,18 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from dot_checker import check_dot
-from topictree.cli import _canvas_from_args, _params_from_args, main, make_parser
+from helpers import odd_tets, random_instance
+from topictree.builder import build_tet
+from topictree.cli import _BATCH, _canvas_from_args, _params_from_args, _render_text, _write_text, main, make_parser
 from topictree.layout import CanvasSpec
 from topictree.model import EvolutionParams
+from topictree.render import _json_lines, _svg_lines, tet_from_json, to_dot, to_json, to_svg
 
 
 @pytest.fixture
@@ -224,6 +228,103 @@ class TestStdout:
             proc = subprocess.run([sys.executable, "-c", exec_cli, *args, "--out", "-"], capture_output=True, text=True, env=env)
             assert proc.returncode == 2, proc.stderr
             assert proc.stderr == "topictree: i/o error: standard output is closed\n"
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_closed_pipe_is_an_io_error(self, tmp_path, tet_json_path, unbuffered):
+        # An unbuffered stdout takes part of a write into a pipe whose reader has
+        # gone and raises nothing; a buffered one fails again when it is flushed at exit.
+        big = tmp_path / "big.json"
+        big.write_text(to_json(build_tet(*random_instance(random.Random(12), max_n=200))), encoding="utf-8")
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        for tree, fmt, keep in ((big, "svg", 20), (big, "dot", 20), (tet_json_path, "dot", 0)):
+            # the big documents outgrow a 64 KiB pipe; the small one meets a reader already gone
+            cmd = [sys.executable, "-m", "topictree.cli", "render", "--tet", str(tree), "--format", fmt, "--out", "-"]
+            read_end, write_end = os.pipe()
+            if not keep:
+                os.close(read_end)
+            proc = subprocess.Popen(cmd, stdout=write_end, stderr=subprocess.PIPE, env=env)
+            os.close(write_end)
+            if keep:
+                with open(read_end, "rb") as reader:
+                    assert len(reader.read(keep)) == keep
+            err = proc.communicate(timeout=60)[1].decode()
+            assert proc.returncode == 2, err
+            assert re.fullmatch(r"topictree: i/o error: [^\n]+\n", err), err
+
+
+def streamed(tet, fmt, show_root):
+    """The pieces the CLI writes for ``tet`` in ``fmt``."""
+    return _json_lines(tet) if fmt == "json" else _render_text(tet, fmt, CanvasSpec(), show_root)
+
+
+def whole(tet, fmt, show_root):
+    """The library's document for ``tet`` in ``fmt``, as UTF-8."""
+    if fmt == "json":
+        return to_json(tet).encode("utf-8")
+    return (to_svg if fmt == "svg" else to_dot)(tet, show_root=show_root).encode("utf-8")
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize("fmt", ["json", "svg", "dot"])
+    @pytest.mark.parametrize("show_root", [False, True], ids=["no-root", "root"])
+    def test_written_bytes_are_the_library_documents(self, fmt, show_root, tmp_path, capsysbinary, monkeypatch):
+        out = tmp_path / "out"
+        for tet in (*odd_tets(), build_tet(*random_instance(random.Random(12), max_n=200))):
+            expected = whole(tet, fmt, show_root)
+            count = sum(1 for _ in streamed(tet, fmt, show_root))
+            # one piece per write, the real batch, and batches that leave the
+            # piece count one below, at and one above a multiple of their size
+            for batch in sorted({1, _BATCH, count - 1, count, count + 1}):
+                monkeypatch.setattr("topictree.cli._BATCH", batch)
+                _write_text(str(out), streamed(tet, fmt, show_root))
+                _write_text("-", streamed(tet, fmt, show_root))
+                assert out.read_bytes() == expected, batch
+                assert capsysbinary.readouterr().out == expected, batch
+
+    def test_commands_write_the_library_documents(self, fixture_paths, tmp_path, capsysbinary):
+        profile, tes = fixture_paths
+        out_dir = tmp_path / "run"
+        assert main(["run", "--profile", str(profile), "--tes", str(tes), "--out-dir", str(out_dir)]) == 0
+        tet = tet_from_json((out_dir / "tet.json").read_text(encoding="utf-8"))
+        assert (out_dir / "tet.json").read_bytes() == whole(tet, "json", False)
+        assert main(build_args(profile, tes)) == 0
+        assert capsysbinary.readouterr().out == whole(tet, "json", False)
+        for fmt in ("svg", "dot"):
+            assert (out_dir / f"tet.{fmt}").read_bytes() == whole(tet, fmt, False)
+            for show_root in (False, True):
+                render = ["render", "--tet", str(out_dir / "tet.json"), "--format", fmt, *["--show-root"] * show_root]
+                assert main([*render, "--out", str(tmp_path / "out")]) == 0
+                assert main([*render, "--out", "-"]) == 0
+                assert (tmp_path / "out").read_bytes() == whole(tet, fmt, show_root)
+                assert capsysbinary.readouterr().out == whole(tet, fmt, show_root)
+
+    def test_bad_argument_fails_before_anything_is_opened(self, tmp_path, capsysbinary):
+        for path in (str(tmp_path / "out.svg"), "-"):
+            with pytest.raises(ValueError, match="tet must be a Tet"):
+                _write_text(path, _svg_lines("not a tree", None, False))
+        assert list(tmp_path.iterdir()) == []
+        assert capsysbinary.readouterr().out == b""
+
+    @pytest.mark.parametrize("fmt,bound", [("svg", 305_000), ("dot", 116_000)])
+    def test_write_memory_is_bounded(self, fmt, bound, tmp_path):
+        # 122 topics and 2167 edges, a 373 kB SVG and a 74 kB DOT: writing
+        # peaks at about 254 kB and 97 kB on CPython 3.11, and the bound leaves
+        # 20 % headroom. Joining the whole document before writing it peaks at
+        # about 1.31 MB and 359 kB.
+        tet = build_tet(*random_instance(random.Random(12), max_n=200))
+        assert tet.states  # derived on first use; every command derives them before it writes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _write_text(str(tmp_path / f"tet.{fmt}"), _render_text(tet, fmt, CanvasSpec(), False))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 @pytest.fixture

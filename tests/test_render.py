@@ -8,7 +8,7 @@ import pyparsing
 import pytest
 
 from dot_checker import check_dot
-from helpers import crowded_instance, random_instance, tes_matrix, to_json_reference
+from helpers import crowded_instance, odd_tets, random_instance, tes_matrix, to_json_reference
 from topictree.builder import build_tet
 from topictree.model import (
     ROOT_INDEX,
@@ -16,7 +16,6 @@ from topictree.model import (
     TemporalTopicProfile,
     Tet,
     TetEdge,
-    ThresholdMode,
     TopicRecord,
 )
 from topictree.render import tet_from_json, to_dot, to_json, to_svg
@@ -49,42 +48,6 @@ def tiny_tet(n_topics=3, year=2001):
     profile = TemporalTopicProfile(topics=topics)
     columns = tuple((0.0,) * j for j in range(n_topics))
     return build_tet(profile, tes_matrix(columns), EvolutionParams())
-
-
-class _Loud(int):
-    """An integer that prints as a word: JSON must still write its digits."""
-
-    def __format__(self, spec=""):
-        return "loud"
-
-    __repr__ = __str__ = __format__
-
-
-def odd_tets() -> list[Tet]:
-    """Trees whose JSON meets what the random trees never do: a None label,
-    non-ASCII and astral text, quote, backslash, tab and ``</``, tiny and
-    inexact weights, negative, 30-digit and subclassed integer years,
-    exclusive mode, and a lone root-only topic."""
-    topics = (
-        TopicRecord(id="é", index=0, weight=1e-07, year=-5, words=("日本", "😀")),
-        TopicRecord(id='say "hi"', index=1, weight=0.1, year=10**29, words=("back\\slash", "tab\there"), label="</svg>"),
-        TopicRecord(id="t2", index=2, weight=1.0, year=_Loud(10**29 + 1), words=("w",), label="café 日本 😀"),
-    )
-    edges = (
-        TetEdge(from_index=ROOT_INDEX, to_index=0, tes=1.0),
-        TetEdge(from_index=0, to_index=1, tes=1e-07),
-        TetEdge(from_index=1, to_index=2, tes=0.1),
-    )
-    params = EvolutionParams(min_tes=0.0, min_reborn=_Loud(3), threshold_mode=ThresholdMode.EXCLUSIVE)
-    lone = TopicRecord(id="only", index=0, weight=0.5, year=2001, words=("w",))
-    return [
-        Tet(profile=TemporalTopicProfile(topics=topics), edges=edges, params=params),
-        Tet(
-            profile=TemporalTopicProfile(topics=(lone,)),
-            edges=(TetEdge(from_index=ROOT_INDEX, to_index=0, tes=1.0),),
-            params=EvolutionParams(),
-        ),
-    ]
 
 
 class TestSvg:

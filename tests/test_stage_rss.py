@@ -38,12 +38,11 @@ def test_one_line_per_stage_call(tmp_path):
     code, names, other = stage_rss("run", *inputs, "--out-dir", str(tmp_path))
     assert (code, other) == (0, [])
     assert names == [
-        "import", "parse_profile", "parse_tes", "build_tet", "to_json", "_write_text",
-        "to_svg", "_write_text", "to_dot", "_write_text", "exit 0",
+        "import", "parse_profile", "parse_tes", "build_tet", "_write_text", "_write_text", "_write_text", "exit 0",
     ]
     code, names, other = stage_rss("render", "--tet", str(tmp_path / "tet.json"), "--format", "dot", "--out", str(tmp_path / "x.dot"))
     assert (code, other) == (0, [])
-    assert names == ["import", "tet_from_json", "to_dot", "_write_text", "exit 0"]
+    assert names == ["import", "tet_from_json", "_write_text", "exit 0"]
     assert (tmp_path / "x.dot").read_text().startswith("digraph")
 
 
