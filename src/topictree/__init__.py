@@ -12,7 +12,7 @@ Typical use::
     tet.states  # {index: (EmergingState, EvolvingState)}
 """
 
-from .builder import DimensionMismatchError, build_tet
+from .builder import build_tet
 from .ingest import (
     CsvValidationError,
     ValidationIssue,
@@ -43,7 +43,6 @@ __all__ = [
     "ROOT_INDEX",
     "CanvasSpec",
     "CsvValidationError",
-    "DimensionMismatchError",
     "EmergingState",
     "EvolutionParams",
     "EvolvingState",

@@ -30,10 +30,6 @@ from .model import (
 )
 
 
-class DimensionMismatchError(ValueError):
-    """Matrix dimension does not match the profile size."""
-
-
 def candidate_parents(
     v: int,
     matrix: TesMatrix,
@@ -96,14 +92,13 @@ def build_tet(
     """Construct the evolution tree for `profile` under `params`.
 
     The output is fully deterministic for fixed inputs. Raises
-    :class:`DimensionMismatchError` when the matrix does not match the
-    profile size.
+    ``ValueError`` when the matrix does not match the profile size.
     """
     require_type(profile, TemporalTopicProfile, "profile")
     require_type(matrix, TesMatrix, "matrix")
     require_type(params, EvolutionParams, "params")
     if matrix.n != len(profile):
-        raise DimensionMismatchError(
+        raise ValueError(
             f"matrix is {matrix.n}x{matrix.n} but the profile has {len(profile)} topics"
         )
     edges: list[TetEdge] = []
@@ -112,8 +107,6 @@ def build_tet(
         candidates = candidate_parents(topic.index, matrix, profile, params)
         retained = prune_candidates(candidates, anc)
         anc[topic.index] = ancestor_mask(anc, (u for u, _ in retained))
-        if retained:
-            edges.extend(TetEdge(from_index=u, to_index=topic.index, tes=tes) for u, tes in retained)
-        else:
-            edges.append(TetEdge(from_index=ROOT_INDEX, to_index=topic.index, tes=1.0))
+        for u, tes in retained or [(ROOT_INDEX, 1.0)]:
+            edges.append(TetEdge(from_index=u, to_index=topic.index, tes=tes))
     return Tet(profile=profile, edges=tuple(edges), params=params)

@@ -340,10 +340,9 @@ class Tet(_Value):
         require_type(edges, tuple, "edges")
         require_type(params, EvolutionParams, "params")
         self._store(profile, edges, params)
-        # Each topic's parents as an insertion-ordered set: a duplicate edge
-        # is found in O(1) and the parents stay in edge order.
-        parents: dict[int, dict[int, None]] = {t.index: {} for t in profile.topics}
-        rooted: set[int] = set()
+        # Each topic's parents, the root among them, as an insertion-ordered
+        # set: a duplicate edge is found in O(1) and the parents stay in edge order.
+        parents: dict[int, dict[int, None] | tuple[int, ...]] = {t.index: {} for t in profile.topics}
         for e in edges:
             require_type(e, TetEdge, "edge")
             if e.to_index not in parents:
@@ -358,21 +357,19 @@ class Tet(_Value):
                         f"edge {e.from_index}->{e.to_index} carries tes {e.tes}, "
                         f"which fails the min_tes gate"
                     )
-                ps = parents[e.to_index]
-                duplicate = e.from_index in ps
-                ps[e.from_index] = None
-            else:
-                duplicate = e.to_index in rooted
-                rooted.add(e.to_index)
-            if duplicate:
+            ps = parents[e.to_index]
+            if e.from_index in ps:
                 raise ValueError(f"duplicate edge {e.from_index}->{e.to_index}")
+            ps[e.from_index] = None
         # Indices are exactly 0..N-1, so both checks run in ascending index.
+        # Each set becomes the stored tuple of non-root parents.
         for v in range(len(parents)):
-            has_root = v in rooted
-            if has_root and parents[v]:
-                raise ValueError(f"topic {v} has both a root edge and parents")
-            if not has_root and not parents[v]:
+            ps = parents[v]
+            if not ps:
                 raise ValueError(f"topic {v} is unreachable from the root")
+            if ROOT_INDEX in ps and len(ps) > 1:
+                raise ValueError(f"topic {v} has both a root edge and parents")
+            parents[v] = () if ROOT_INDEX in ps else tuple(ps)
         # Profile order visits every parent before its children.
         anc: dict[int, int] = {}
         for t in profile.topics:
@@ -385,7 +382,7 @@ class Tet(_Value):
                         f"parents {shared.bit_length() - 1} and {b} of topic {v} "
                         f"lie on the same pathway"
                     )
-        object.__setattr__(self, "_parents", {v: tuple(ps) for v, ps in parents.items()})
+        object.__setattr__(self, "_parents", parents)
 
     @cached_property
     def states(self) -> dict[int, tuple[EmergingState, EvolvingState]]:

@@ -417,17 +417,20 @@ def tet_from_json(text: str) -> Tet:
                 year=require_int(node["year"], f"nodes[{i}].year"),
             )
             topics.append(topic)
-        edges = tuple(
-            TetEdge(
-                from_index=require_int(e["from_index"], f"edges[{k}].from_index"),
-                to_index=require_int(e["to_index"], f"edges[{k}].to_index"),
-                tes=require_number(e["tes"], f"edges[{k}].tes"),
+        # Popped, and each slot cleared as its edge is made, so a raw edge
+        # record is freed once it is read, not when the last one is.
+        raw_edges, edges = doc.pop("edges"), []
+        for k in range(len(raw_edges)):
+            e, raw_edges[k] = raw_edges[k], None
+            edges.append(
+                TetEdge(
+                    from_index=require_int(e["from_index"], f"edges[{k}].from_index"),
+                    to_index=require_int(e["to_index"], f"edges[{k}].to_index"),
+                    tes=require_number(e["tes"], f"edges[{k}].tes"),
+                )
             )
-            # popped, so the raw edge records are freed before the tree is validated
-            for k, e in enumerate(doc.pop("edges"))
-        )
         latest_year = require_int(doc["latest_year"], "latest_year")
-        tet = Tet(profile=TemporalTopicProfile(topics=tuple(topics)), edges=edges, params=params)
+        tet = Tet(profile=TemporalTopicProfile(topics=tuple(topics)), edges=tuple(edges), params=params)
         if latest_year != tet.profile.latest_year:
             raise ValueError(f"latest_year {latest_year} does not match profile ({tet.profile.latest_year})")
         for node, topic in zip(doc["nodes"], topics):

@@ -14,7 +14,6 @@ from helpers import (
     tes_matrix,
 )
 from topictree.builder import (
-    DimensionMismatchError,
     build_tet,
     candidate_parents,
     prune_candidates,
@@ -239,7 +238,7 @@ class TestBuildTet:
 
     def test_dimension_mismatch(self, fixture_profile):
         matrix = tes_matrix(((), (0.5,)))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValueError, match=r"^matrix is 2x2 but the profile has 11 topics$"):
             build_tet(fixture_profile, matrix, EvolutionParams())
 
     def test_deterministic(self, fixture_profile, fixture_matrix, exclusive_params):

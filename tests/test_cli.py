@@ -192,6 +192,12 @@ MALFORMED_TREES = {
     "label-control-char": (lambda doc: doc["nodes"][0].update(label="A\x01"), "U+0001"),
     "id-lone-surrogate": (lambda doc: doc["nodes"][0].update(id="t\ud800"), "U+D800"),
     "edge-unknown-target": (lambda doc: doc["edges"][2].update(to_index=99), "unknown topic index 99"),
+    "edges-string": (lambda doc: doc.update(edges="abc"), "malformed TET JSON"),
+    "edges-object": (lambda doc: doc.update(edges={"a": 1}), "malformed TET JSON"),
+    "edges-number": (lambda doc: doc.update(edges=5), "malformed TET JSON"),
+    "edges-null": (lambda doc: doc.update(edges=None), "malformed TET JSON"),
+    "edges-null-record": (lambda doc: doc.update(edges=[None]), "malformed TET JSON"),
+    "edges-list-record": (lambda doc: doc.update(edges=[[1, 2]]), "malformed TET JSON"),
 }
 
 

@@ -79,6 +79,11 @@ class TestTemporalTopicProfile:
         with pytest.raises(ValueError, match="unique"):
             TemporalTopicProfile(topics=(topic(0, 2001, id="x"), topic(1, 2002, id="x")))
 
+    def test_duplicate_indices_rejected(self):
+        # checked before the 0..N-1 range, which a repeated index also breaks
+        with pytest.raises(ValueError, match="^topic indices must be unique$"):
+            TemporalTopicProfile(topics=(topic(0, 2001, id="a"), topic(0, 2002, id="b")))
+
     def test_unsorted_topics_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
             TemporalTopicProfile(topics=(topic(0, 2002), topic(1, 2001)))
@@ -320,8 +325,25 @@ class TestTet:
             ([(ROOT_INDEX, 0, 1.0), (0, 1, 0.5), (0, 9, 0.5), (0, 1, 0.5)], "edge targets unknown topic index 9"),
             ([(ROOT_INDEX, 0, 1.0), (ROOT_INDEX, 0, 1.0), (ROOT_INDEX, 9, 1.0)], "duplicate edge -1->0"),
             ([(ROOT_INDEX, 0, 1.0), (ROOT_INDEX, 9, 1.0), (ROOT_INDEX, 0, 1.0)], "edge targets unknown topic index 9"),
+            # A root edge beside parents is found after the edge loop, a
+            # repeated root edge inside it, wherever the parent edges stand.
+            ([(ROOT_INDEX, 0, 1.0), (0, 1, 0.5), (ROOT_INDEX, 1, 1.0)], "topic 1 has both a root edge and parents"),
+            ([(ROOT_INDEX, 0, 1.0), (0, 1, 0.5), (ROOT_INDEX, 1, 1.0), (0, 9, 0.5)], "edge targets unknown topic index 9"),
+            ([(ROOT_INDEX, 0, 1.0), (ROOT_INDEX, 1, 1.0), (0, 1, 0.5)], "topic 1 has both a root edge and parents"),
+            ([(ROOT_INDEX, 0, 1.0), (ROOT_INDEX, 1, 1.0), (0, 1, 0.5), (0, 9, 0.5)], "edge targets unknown topic index 9"),
+            ([(ROOT_INDEX, 0, 1.0), (0, 1, 0.5), (ROOT_INDEX, 1, 1.0), (ROOT_INDEX, 1, 1.0)], "duplicate edge -1->1"),
         ],
-        ids=["duplicate-then-unknown", "unknown-then-duplicate", "root-duplicate-then-unknown", "root-unknown-then-duplicate"],
+        ids=[
+            "duplicate-then-unknown",
+            "unknown-then-duplicate",
+            "root-duplicate-then-unknown",
+            "root-unknown-then-duplicate",
+            "root-after-parent",
+            "root-after-parent-then-unknown",
+            "parent-after-root",
+            "parent-after-root-then-unknown",
+            "root-duplicate-after-parent",
+        ],
     )
     def test_first_faulty_edge_in_edge_order(self, edge_triples, message):
         with pytest.raises(ValueError) as info:
@@ -370,8 +392,16 @@ class TestTet:
                 [(ROOT_INDEX, 0, 1.0), (ROOT_INDEX, 2, 1.0), (0, 3, 0.5), (0, 1, 0.5), (3, 1, 0.5), (0, 4, 0.5), (3, 4, 0.5)],
                 "parents 0 and 3 of topic 1 lie on the same pathway",
             ),
+            (
+                [(ROOT_INDEX, 0, 1.0), (ROOT_INDEX, 2, 1.0), (ROOT_INDEX, 1, 1.0), (0, 1, 0.5), (0, 4, 0.5)],
+                "topic 1 has both a root edge and parents",
+            ),
+            (
+                [(ROOT_INDEX, 0, 1.0), (ROOT_INDEX, 2, 1.0), (ROOT_INDEX, 3, 1.0), (0, 3, 0.5), (0, 4, 0.5)],
+                "topic 1 is unreachable from the root",
+            ),
         ],
-        ids=["two-unreachable", "unreachable-and-pathway", "two-pathway-faults"],
+        ids=["two-unreachable", "unreachable-and-pathway", "two-pathway-faults", "both-then-unreachable", "unreachable-then-both"],
     )
     def test_first_error_in_ascending_index(self, edge_triples, message):
         # profile order is 0, 2, 3, 1, 4: topic 3 comes before topic 1

@@ -9,7 +9,6 @@ import topictree
 from topictree import (
     CanvasSpec,
     CsvValidationError,
-    DimensionMismatchError,
     EmergingState,
     EvolutionParams,
     EvolvingState,
@@ -65,7 +64,6 @@ WORDS = st.lists(st.text(max_size=3), max_size=3).map(tuple)
 CALLS = {
     "CanvasSpec": (CanvasSpec, (NUMBER, NUMBER)),
     "CsvValidationError": (CsvValidationError, (st.builds(ValidationReport),)),
-    "DimensionMismatchError": (DimensionMismatchError, (st.text(max_size=4),)),
     "EmergingState": (EmergingState, (st.sampled_from([s.value for s in EmergingState]),)),
     "EvolutionParams": (EvolutionParams, (NUMBER, INDEX, INDEX, st.sampled_from(ThresholdMode))),
     "EvolvingState": (EvolvingState, (st.sampled_from([s.value for s in EvolvingState]),)),

@@ -22,11 +22,13 @@ def stage_rss(*args):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "stage_rss.py"), *args], capture_output=True, text=True
     )
-    names, other = [], []
+    names, other, peak = [], [], 0
     for line in proc.stderr.splitlines():
         if match := LINE.fullmatch(line):
             rss_before, rss_after, hwm_before, hwm_after = map(int, match.groups()[1:])
             assert 0 < rss_before <= hwm_before <= hwm_after and 0 < rss_after <= hwm_after
+            assert hwm_after >= peak, "the peak column fell from one line to the next"
+            peak = hwm_after
             names.append(match.group(1))
         else:
             other.append(line)

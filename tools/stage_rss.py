@@ -9,9 +9,12 @@ repository's `src` and bytecode caching on (`PYTHONDONTWRITEBYTECODE` removed),
 as perfbench runs it: compiling every import afresh reads about 1 MB higher,
 so the first run after a source change reads high. The child wraps the stage
 functions that `topictree.cli` calls (STAGES) and writes one line per call to
-standard error: `VmRSS` and `VmHWM` from `/proc/self/status`, in kB, before
-and after the call. The first line covers `import topictree.cli`, the last the
-whole command with its exit code, which is also this script's exit code.
+standard error: `VmRSS` from `/proc/self/status`, in kB, before and after the
+call, and beside it the highest `VmHWM` read there so far. The kernel can show
+a `VmHWM` lower than an earlier reading, so the raw figure could fall from one
+line to the next; the highest one never does. The first line covers
+`import topictree.cli`, the last the whole command with its exit code, which
+is also this script's exit code.
 Standard output is the command's own. Linux only.
 """
 
@@ -27,15 +30,22 @@ REPO = Path(__file__).resolve().parent.parent
 STAGES = ("parse_profile", "parse_tes", "build_tet", "tet_from_json", "_write_text")
 
 
+#: The highest VmHWM that `status` has read, in kB. Module state suffices:
+#: the child that reports runs one command and exits.
+_highest_hwm = 0
+
+
 def status() -> tuple[int, int]:
-    """(VmRSS, VmHWM) of this process, in kB."""
+    """VmRSS of this process and the highest VmHWM read so far, in kB."""
+    global _highest_hwm
     values = {}
     with open("/proc/self/status", encoding="ascii") as handle:
         for line in handle:
             key, _, value = line.partition(":")
             if key in ("VmRSS", "VmHWM"):
                 values[key] = int(value.split()[0])
-    return values["VmRSS"], values["VmHWM"]
+    _highest_hwm = max(_highest_hwm, values["VmHWM"])
+    return values["VmRSS"], _highest_hwm
 
 
 def report(name: str, before: tuple[int, int], after: tuple[int, int]) -> None:
