@@ -6,8 +6,10 @@ Typical use::
 
     from topictree import EvolutionParams, build_tet, parse_profile, parse_tes
 
-    profile, _ = parse_profile(profile_csv_bytes)
-    matrix, _ = parse_tes(tes_csv_bytes, profile)
+    with open("profile.csv", "rb") as handle:  # or the CSV's bytes
+        profile, _ = parse_profile(handle)
+    with open("tes.csv", "rb") as handle:
+        matrix, _ = parse_tes(handle, profile)
     tet = build_tet(profile, matrix, EvolutionParams())
     tet.states  # {index: (EmergingState, EvolvingState)}
 """

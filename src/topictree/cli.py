@@ -174,7 +174,10 @@ def _write_text(path: str, pieces: Iterable[str]) -> None:
     umask = os.umask(0o077)  # reading the umask means setting it
     os.umask(umask)
     mode = target.stat().st_mode & 0o7777 if target.exists() else 0o666 & ~umask
-    fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
+    try:
+        fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
+    except OSError as exc:  # it names the temp file, which the user never gave
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         os.chmod(tmp_name, mode)
         with os.fdopen(fd, "wb") as handle:
@@ -190,9 +193,11 @@ def _write_text(path: str, pieces: Iterable[str]) -> None:
 
 def _build_from_args(args: argparse.Namespace) -> Tet:
     params = _params_from_args(args)
-    profile, profile_report = parse_profile(Path(args.profile).read_bytes())
+    with open(args.profile, "rb") as handle:
+        profile, profile_report = parse_profile(handle)
     _print_report(profile_report)
-    matrix, matrix_report = parse_tes(Path(args.tes).read_bytes(), profile, lenient=args.lenient)
+    with open(args.tes, "rb") as handle:
+        matrix, matrix_report = parse_tes(handle, profile, lenient=args.lenient)
     _print_report(matrix_report)
     return build_tet(profile, matrix, params)
 

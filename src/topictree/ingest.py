@@ -127,42 +127,72 @@ class CsvValidationError(ValueError):
         super().__init__(summary)
 
 
-def _decode(data: bytes, report: ValidationReport) -> str | None:
+#: What the parsers read: the bytes of a CSV, or a binary file open for reading.
+_CSV_INPUT = (bytes, bytearray, io.BufferedIOBase, io.RawIOBase)
+
+
+def _lines(data: bytes | bytearray | io.BufferedIOBase | io.RawIOBase) -> Iterator[str]:
+    """The ``\\n``-ended lines of `data`, each decoded as it is read.
+
+    A BOM at the start is dropped, and byte offsets count from after it.
+    Raises :class:`CsvValidationError` with one ``BadEncoding`` issue at
+    the first line that is not UTF-8.
+    """
+    if isinstance(data, (bytes, bytearray)):
+        stream = io.BytesIO(data)
+    elif isinstance(data, io.RawIOBase):
+        stream = io.BufferedReader(data)  # a raw file's readline reads one byte per call
+    else:
+        stream = data
+    offset = 0  # bytes before the current line
     try:
-        return data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        line = data[: exc.start].count(b"\n") + 1
-        report.error(line, None, BAD_ENCODING, f"input is not valid UTF-8 at byte {exc.start}")
-        return None
+        for number, line in enumerate(stream, 1):
+            if number == 1:
+                line = line.removeprefix(codecs.BOM_UTF8)
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                report = ValidationReport()
+                report.error(number, None, BAD_ENCODING, f"input is not valid UTF-8 at byte {offset + exc.start}")
+                raise CsvValidationError(report) from None
+            offset += len(line)
+            yield text
+    finally:
+        if isinstance(data, io.RawIOBase):
+            stream.detach()  # so that closing the buffer cannot close the caller's file
 
 
-def _csv_rows(data: bytes) -> Iterator[list[str]]:
-    """The CSV rows of `data`, decoded and read one line at a time.
+def _csv_rows(data: bytes | bytearray | io.BufferedIOBase | io.RawIOBase) -> Iterator[list[str]]:
+    """The CSV rows of `data`, read and decoded one line at a time.
 
+    `data` is the bytes of a CSV or a binary file, read from where it stands
+    to its end without seeking, so a pipe works too; the caller closes it.
     Lines end only at ``\\n``. Empty rows are held back until a non-empty
     row follows, so trailing ones are dropped. Raises
-    :class:`CsvValidationError` with one issue: ``BadEncoding`` if any part
-    of `data` is not UTF-8, even past an unreadable row, else ``BadCsv`` at
+    :class:`CsvValidationError` with one issue: ``BadEncoding`` at the first
+    line that is not UTF-8, even past an unreadable row, else ``BadCsv`` at
     the first unreadable row.
     """
-    body = memoryview(data)[3:] if data.startswith(codecs.BOM_UTF8) else data
-    with io.TextIOWrapper(io.BytesIO(body), encoding="utf-8", newline="\n") as text:
-        reader = csv.reader(text)
-        empty = 0
-        try:
-            for row in reader:
-                if not row:
-                    empty += 1
-                    continue
-                for _ in range(empty):
-                    yield []
-                empty = 0
-                yield row
-        except (UnicodeDecodeError, csv.Error) as exc:
-            report = ValidationReport()
-            if _decode(data, report) is not None:
-                report.error(reader.line_num, None, BAD_CSV, f"unreadable CSV: {exc}")
-            raise CsvValidationError(report) from None
+    lines = _lines(data)
+    reader = csv.reader(lines)
+    empty = 0
+    try:
+        for row in reader:
+            if not row:
+                empty += 1
+                continue
+            for _ in range(empty):
+                yield []
+            empty = 0
+            yield row
+    except csv.Error as exc:
+        report = ValidationReport()
+        report.error(reader.line_num, None, BAD_CSV, f"unreadable CSV: {exc}")
+    else:
+        return
+    for _ in lines:  # a bad byte further on is the issue reported instead
+        pass
+    raise CsvValidationError(report)
 
 
 def _parse_decimal(cell: str) -> float | None:
@@ -199,21 +229,23 @@ def _parse_words(cell: str) -> tuple[str, ...] | None:
     return tuple(words)
 
 
-def parse_profile(data: bytes) -> tuple[TemporalTopicProfile, ValidationReport]:
-    """Parse a temporal topic profile CSV.
+def parse_profile(data: bytes | bytearray | io.BufferedIOBase | io.RawIOBase) -> tuple[TemporalTopicProfile, ValidationReport]:
+    """Parse a temporal topic profile CSV, given as bytes or an open binary file.
 
-    Rows may arrive in any order; they are re-sorted ascending by
-    (year, index), with a warning when re-sorting occurred. Raises
-    :class:`CsvValidationError` if any row violates the profile contract.
+    Rows are checked as they are read. They may arrive in any order; they
+    are re-sorted ascending by (year, index), with a warning when re-sorting
+    occurred. Raises :class:`CsvValidationError` if any row violates the
+    profile contract.
     """
-    require_type(data, (bytes, bytearray), "data")
+    require_type(data, _CSV_INPUT, "data")
     report = ValidationReport()
-    rows = list(_csv_rows(data))
-    if not rows:
+    rows = _csv_rows(data)
+    header = next(rows, None)
+    if header is None:
         report.error(1, None, MISSING_HEADER, "file is empty, expected a header row")
         raise CsvValidationError(report)
 
-    header = [cell.strip().lower() for cell in rows[0]]
+    header = [cell.strip().lower() for cell in header]
     columns: dict[str, int] = {}
     for pos, name in enumerate(header):
         if name in columns:
@@ -225,6 +257,8 @@ def parse_profile(data: bytes) -> tuple[TemporalTopicProfile, ValidationReport]:
         if name not in columns:
             report.error(1, name, MISSING_HEADER, f"required column {name!r} is missing")
     if not report.ok:
+        for _ in rows:  # a bad byte or an unreadable row further on is the issue reported instead
+            pass
         raise CsvValidationError(report)
 
     def cell(row: list[str], name: str) -> str:
@@ -236,8 +270,8 @@ def parse_profile(data: bytes) -> tuple[TemporalTopicProfile, ValidationReport]:
     records: list[tuple[int, TopicRecord]] = []  # (csv row number, record)
     ids_seen: dict[str, int] = {}
     indices_seen: dict[int, int] = {}
-    for offset, row in enumerate(rows[1:]):
-        rownum = offset + 2
+    rownum = 1
+    for rownum, row in enumerate(rows, 2):
         errors_before = len(report.errors)
         topic_id = cell(row, "id")
         if not topic_id:
@@ -290,7 +324,7 @@ def parse_profile(data: bytes) -> tuple[TemporalTopicProfile, ValidationReport]:
                 (rownum, TopicRecord(id=topic_id, index=index, weight=weight, year=year, words=words, label=label))
             )
 
-    if not rows[1:]:
+    if rownum == 1:
         report.error(2, None, EMPTY_PROFILE, "profile must contain at least one topic")
     if report.ok:
         expected = set(range(len(records)))
@@ -317,9 +351,10 @@ def parse_profile(data: bytes) -> tuple[TemporalTopicProfile, ValidationReport]:
 
 
 def parse_tes(
-    data: bytes, profile: TemporalTopicProfile, lenient: bool = False
+    data: bytes | bytearray | io.BufferedIOBase | io.RawIOBase, profile: TemporalTopicProfile, lenient: bool = False
 ) -> tuple[TesMatrix, ValidationReport]:
-    """Parse a TES matrix CSV against the profile's size and year structure.
+    """Parse a TES matrix CSV, given as bytes or an open binary file,
+    against the profile's size and year structure.
 
     Each row is walked once as three ranges. The cells below the diagonal
     are ignored, with a warning for each one that is not blank; the diagonal
@@ -329,12 +364,12 @@ def parse_tes(
     only when the join is not blank. Above it, each distinct text is checked
     once while it is cached, and only the cells with an issue or a nonzero
     TES are visited, so issues come row by row, columns ascending. Rows are
-    checked as the CSV reader yields them, so the working memory is one row
-    plus the nonzero TES kept. A wrong row count, or else any row of the
-    wrong length, is reported alone. Raises :class:`CsvValidationError` on
+    read, decoded and checked one at a time, so from a file the working
+    memory is one row plus the nonzero TES kept. A wrong row count, or else
+    any row of the wrong length, is reported alone. Raises :class:`CsvValidationError` on
     any violation that lenient mode cannot coerce.
     """
-    require_type(data, (bytes, bytearray), "data")
+    require_type(data, _CSV_INPUT, "data")
     require_type(profile, TemporalTopicProfile, "profile")
     n = len(profile)
     years = [topic.year for topic in profile.topics]

@@ -200,7 +200,7 @@ def read_rows_whole_text(data: bytes) -> list[list[str]]:
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        line = data[: exc.start].count(b"\n") + 1
+        line = exc.object[: exc.start].count(b"\n") + 1  # the bytes after a BOM, as exc.start counts
         report.error(line, None, ingest.BAD_ENCODING, f"input is not valid UTF-8 at byte {exc.start}")
         raise CsvValidationError(report) from None
     reader = csv.reader(io.StringIO(text))
@@ -214,8 +214,8 @@ def read_rows_whole_text(data: bytes) -> list[list[str]]:
     return rows
 
 
-def rows_or_issues(read, data: bytes) -> list:
-    """The rows `read` gives for `data`, or the errors of the `CsvValidationError` it raises."""
+def rows_or_issues(read, data) -> list:
+    """The rows `read` gives for `data` (bytes or a binary file), or the errors of the `CsvValidationError` it raises."""
     try:
         return list(read(data))
     except CsvValidationError as exc:

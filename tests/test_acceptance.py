@@ -6,6 +6,7 @@ equality, randomized properties demand zero violations over their full
 sample counts, and the fuzz run requires zero crashes.
 """
 
+import io
 import json
 import math
 import random
@@ -278,14 +279,46 @@ def test_criterion_6_ingestion(profile_csv, tes_csv, fixture_profile):
     print(f"ACCEPTANCE 6: PASS - fixtures parse, 13 error codes triggered, {runs}-input fuzz clean")
 
 
-def test_csv_rows_match_whole_text_reader(profile_csv, tes_csv):
+def test_csv_rows_match_whole_text_reader(profile_csv, tes_csv, tmp_path):
     rng = random.Random(660066)  # the inputs test_criterion_6_ingestion feeds to both parsers
     runs = 10_000
+    path = tmp_path / "input.csv"
     for _ in range(runs):
         data = _fuzz_input(rng, profile_csv, tes_csv)
         rng.random()
-        assert rows_or_issues(ingest._csv_rows, data) == rows_or_issues(read_rows_whole_text, data)
-    print(f"ACCEPTANCE 6: PASS - the streamed row reader equals the whole-text reader on {runs} inputs")
+        expected = rows_or_issues(read_rows_whole_text, data)
+        assert rows_or_issues(ingest._csv_rows, data) == expected
+        assert rows_or_issues(ingest._csv_rows, io.BytesIO(data)) == expected
+        path.write_bytes(data)
+        with open(path, "rb") as handle:
+            assert rows_or_issues(ingest._csv_rows, handle) == expected
+    print(
+        f"ACCEPTANCE 6: PASS - the streamed row reader equals the whole-text reader on {runs} inputs,"
+        " given as bytes, as a BytesIO and as a file"
+    )
+
+
+def _outcome(parse, data):
+    """(value or None, errors, warnings) of one parse."""
+    try:
+        value, report = parse(data)
+    except CsvValidationError as exc:
+        return None, exc.report.errors, exc.report.warnings
+    return value, report.errors, report.warnings
+
+
+def test_parsers_read_a_file_as_they_read_bytes(profile_csv, tes_csv, fixture_profile, tmp_path):
+    rng = random.Random(660066)  # the inputs and leniency test_criterion_6_ingestion uses
+    runs = 10_000
+    path = tmp_path / "input.csv"
+    for _ in range(runs):
+        data = _fuzz_input(rng, profile_csv, tes_csv)
+        lenient = rng.random() < 0.5
+        path.write_bytes(data)
+        for parse in (parse_profile, lambda data: parse_tes(data, fixture_profile, lenient=lenient)):
+            with open(path, "rb") as handle:
+                assert _outcome(parse, handle) == _outcome(parse, data)
+    print(f"ACCEPTANCE 6: PASS - both parsers read {runs} inputs from a file as from their bytes")
 
 
 def _parse_outcome(parse, data: bytes, profile, lenient: bool):

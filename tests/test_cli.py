@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import re
 import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -13,6 +15,7 @@ import pytest
 
 from dot_checker import check_dot
 from helpers import odd_tets, random_instance
+from topictree import cli
 from topictree.builder import build_tet
 from topictree.cli import _BATCH, _canvas_from_args, _params_from_args, _render_text, _write_text, main, make_parser
 from topictree.layout import CanvasSpec
@@ -165,6 +168,92 @@ class TestBuild:
             os.close(reader)
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert len(json.loads(data)["nodes"]) == 11
+
+
+def _feed(fifo, data: bytes) -> threading.Thread:
+    """Start a thread that writes `data` into `fifo` once a reader opens it."""
+
+    def write():
+        try:
+            with open(fifo, "wb") as handle:
+                handle.write(data)
+        except BrokenPipeError:  # the reader stopped early
+            pass
+
+    thread = threading.Thread(target=write)
+    thread.start()
+    return thread
+
+
+class TestInputs:
+    def _build_from_fifos(self, tmp_path, profile_data: bytes, tes_data: bytes, out) -> int:
+        fifos = [tmp_path / "profile.fifo", tmp_path / "tes.fifo"]
+        threads = []
+        for fifo, data in zip(fifos, (profile_data, tes_data)):
+            os.mkfifo(fifo)
+            threads.append(_feed(fifo, data))
+        try:
+            return main(build_args(*fifos, "--out", str(out)))
+        finally:
+            for fifo, thread in zip(fifos, threads):
+                while thread.is_alive():  # a FIFO the CLI never opened lets its writer go
+                    os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+                    thread.join(0.01)
+
+    def test_fifo_inputs_give_the_file_output(self, fixture_paths, profile_csv, tes_csv, tmp_path):
+        # A FIFO cannot seek: the inputs must be read front to back, once.
+        from_files, from_fifos = tmp_path / "files.json", tmp_path / "fifos.json"
+        assert main(build_args(*fixture_paths, "--out", str(from_files))) == 0
+        assert self._build_from_fifos(tmp_path, profile_csv, tes_csv, from_fifos) == 0
+        assert from_fifos.read_bytes() == from_files.read_bytes()
+
+    @pytest.mark.parametrize("bad", ["profile", "tes"])
+    def test_bad_byte_in_a_fifo_is_reported_as_from_a_file(self, bad, profile_csv, tes_csv, tmp_path, capsys):
+        inputs = {"profile": profile_csv, "tes": tes_csv}
+        middle = len(inputs[bad]) // 2
+        inputs[bad] = inputs[bad][:middle] + b"\xff" + inputs[bad][middle:]
+        paths = []
+        for name, data in inputs.items():
+            paths.append(tmp_path / f"{name}.csv")
+            paths[-1].write_bytes(data)
+        out = tmp_path / "tet.json"
+        assert main(build_args(*paths, "--out", str(out))) == 1
+        from_file = capsys.readouterr().err
+        assert re.fullmatch(r"error: row \d+: BadEncoding: input is not valid UTF-8 at byte \d+\n", from_file)
+        assert self._build_from_fifos(tmp_path, inputs["profile"], inputs["tes"], out) == 1
+        assert capsys.readouterr().err == from_file
+        assert not out.exists()
+
+    def test_inputs_reach_the_parsers_as_open_files(self, fixture_paths, monkeypatch, tmp_path):
+        # Each input reaches its parser as an open binary file, closed afterwards.
+        seen = []
+
+        def spy(parse):
+            def call(data, *args, **kwargs):
+                seen.append(data)
+                return parse(data, *args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(cli, "parse_profile", spy(cli.parse_profile))
+        monkeypatch.setattr(cli, "parse_tes", spy(cli.parse_tes))
+        assert main(build_args(*fixture_paths, "--out", str(tmp_path / "tet.json"))) == 0
+        assert [handle.name for handle in seen] == [str(path) for path in fixture_paths]
+        assert all(isinstance(handle, io.BufferedReader) and handle.closed for handle in seen)
+
+    @pytest.mark.parametrize("command", ["build", "render"])
+    def test_out_into_missing_directory_names_the_path(self, command, fixture_paths, tet_json_path, tmp_path, capsys):
+        out = tmp_path / "missing" / "dir" / "x.out"
+        if command == "build":
+            args = build_args(*fixture_paths, "--out", str(out))
+        else:
+            args = ["render", "--tet", str(tet_json_path), "--out", str(out)]
+        before = sorted(tmp_path.rglob("*"))
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == f"topictree: i/o error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert ".tmp" not in err
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 #: Tree documents that must be rejected: mutation of the fixture document (or

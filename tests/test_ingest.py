@@ -375,6 +375,34 @@ class TestParseTes:
         assert matrix.columns == ((),) * n and not report.errors and not report.warnings
         assert peak < len(data)
 
+    def test_file_parse_costs_a_fraction_of_the_file(self, tmp_path):
+        # 700 topics over 70 years with 0.2 % of the later-year cells nonzero:
+        # 736 kB of CSV, read from the open file. CPython 3.11 peaks at 94 kB.
+        n, per_year = 700, 10
+        profile = TemporalTopicProfile(
+            topics=tuple(
+                TopicRecord(id=f"t{i}", index=i, weight=0.5, year=2000 + i // per_year, words=("w",)) for i in range(n)
+            )
+        )
+        rng = random.Random(7)
+        expected = TesMatrix(
+            columns=tuple(
+                tuple((i, 0.5) for i in range(j // per_year * per_year) if rng.random() < 0.002) for j in range(n)
+            )
+        )
+        path = tmp_path / "tes.csv"
+        path.write_bytes(tes_to_csv(expected))
+        with open(path, "rb") as handle:
+            tracemalloc.start()
+            try:
+                matrix, report = parse_tes(handle, profile)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert matrix == expected and not report.errors and not report.warnings
+        assert path.stat().st_size > 700_000
+        assert peak < 113_000, peak
+
     def test_distinct_cell_texts_cost_bounded_memory(self):
         # 400 topics over 20 years, 30 % of the cells towards later years
         # nonzero: once with 6-decimal TES, once with the same TES in tenths.
@@ -428,8 +456,34 @@ class TestCsvRows:
         assert [(issue.row, issue.code) for issue in issues] == [(10_002, ingest.BAD_ENCODING)]
         assert issues == rows_or_issues(read_rows_whole_text, data)
 
+    @pytest.mark.parametrize(
+        "data, row, byte",
+        [
+            # "words" is missing, and the bad byte lies two rows after the header.
+            (b"id,index,weight,year\nt0,0,0.5,2000\n\xff\n", 3, 35),
+            # The byte offset counts from after the BOM; the row is the bad byte's own.
+            (codecs.BOM_UTF8 + b"id,index\n\xff\n", 2, 9),
+        ],
+        ids=["after-a-header-fault", "after-a-bom"],
+    )
+    def test_bad_byte_is_located_by_both_parsers(self, data, row, byte, fixture_profile):
+        issue = ValidationIssue(row, None, ingest.BAD_ENCODING, f"input is not valid UTF-8 at byte {byte}")
+        assert rows_or_issues(ingest._csv_rows, data) == rows_or_issues(read_rows_whole_text, data) == [issue]
+        for parse in (parse_profile, lambda data: parse_tes(data, fixture_profile)):
+            with pytest.raises(CsvValidationError) as exc:
+                parse(data)
+            assert exc.value.report.errors == [issue]
+
     def test_bom_before_matrix(self, fixture_profile, fixture_matrix, tes_csv):
         matrix, report = parse_tes(codecs.BOM_UTF8 + tes_csv, fixture_profile)
+        assert matrix == fixture_matrix and not report.errors and not report.warnings
+
+    def test_unbuffered_file(self, fixture_profile, fixture_matrix, tes_csv, tmp_path):
+        path = tmp_path / "tes.csv"
+        path.write_bytes(codecs.BOM_UTF8 + tes_csv)
+        with open(path, "rb", buffering=0) as handle:
+            matrix, report = parse_tes(handle, fixture_profile)
+            assert not handle.closed
         assert matrix == fixture_matrix and not report.errors and not report.warnings
 
     def test_empty_rows_inside_are_rows_and_trailing_ones_are_dropped(self, fixture_profile, fixture_matrix, tes_csv):

@@ -1,3 +1,4 @@
+import io
 import math
 
 import pytest
@@ -456,6 +457,8 @@ WRONG_TYPES = {
     "parse-profile-str": lambda: parse_profile("text"),
     "parse-tes-profile-none": lambda: parse_tes(b"", None),
     "parse-tes-data-str": lambda: parse_tes("", profile_of(2001)),
+    "parse-profile-text-stream": lambda: parse_profile(io.StringIO("id,index,weight,year,words\n")),
+    "parse-tes-text-stream": lambda: parse_tes(io.StringIO("1\n"), profile_of(2001)),
     "csv-error-report-none": lambda: CsvValidationError(None),
     "report-errors-int": lambda: ValidationReport(errors=5),
     "report-warnings-tuple": lambda: ValidationReport(warnings=()),

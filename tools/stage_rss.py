@@ -25,7 +25,9 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-#: The emitters are generators that `_write_text` drives, so its line for an
+#: The CLI hands each input to its parser as the open file, so the
+#: `parse_profile` and `parse_tes` lines cover reading that file too. The
+#: emitters are generators that `_write_text` drives, so its line for an
 #: output covers generating that document (and, for SVG, its layout) too.
 STAGES = ("parse_profile", "parse_tes", "build_tet", "tet_from_json", "_write_text")
 
