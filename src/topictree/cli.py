@@ -114,8 +114,9 @@ def _print_report(report: ValidationReport) -> None:
         print(line, file=sys.stderr)
 
 
-#: Pieces joined into one write: a write per piece costs more than the join.
-_BATCH = 512
+#: Pieces joined into one write: a write per piece costs more than the join,
+#: and a small batch keeps its pieces, text and bytes small while it is written.
+_BATCH = 64
 
 
 def _next_batch(pieces: Iterator[str]) -> bytes:
@@ -143,12 +144,13 @@ def _write_text(path: str, pieces: Iterable[str]) -> None:
 
     The first piece is made before anything is opened, so every check and
     the layout finish before a byte is written. A regular file is written
-    atomically: temp file in the target directory, then rename. An existing
-    target that is not a regular file (a device, a FIFO) is written directly,
-    since renaming over it would replace it. Standard output gets UTF-8, as
-    a file does, whatever the locale's encoding. A write that fails part way
-    is an ``OSError``; on standard output or a device it can leave partial
-    output.
+    atomically: temp file in the target directory, then rename. The temp
+    file has a short name of its own, so every target name the file system
+    takes works. An existing target that is not a regular file (a device, a
+    FIFO) is written directly, since renaming over it would replace it.
+    Standard output gets UTF-8, as a file does, whatever the locale's
+    encoding. A write that fails part way is an ``OSError``; on standard
+    output or a device it can leave partial output.
     """
     pieces = iter(pieces)
     pieces = chain((next(pieces),), pieces)
@@ -175,7 +177,7 @@ def _write_text(path: str, pieces: Iterable[str]) -> None:
     os.umask(umask)
     mode = target.stat().st_mode & 0o7777 if target.exists() else 0o666 & ~umask
     try:
-        fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
+        fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=".topictree-", suffix=".tmp")
     except OSError as exc:  # it names the temp file, which the user never gave
         raise OSError(exc.errno, exc.strerror, path) from None
     try:

@@ -15,7 +15,7 @@ import json
 import math
 import re
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
@@ -381,22 +381,112 @@ def _deepest_bracket(text: str) -> str:
     return f"line {line}, column {column}"
 
 
+#: The C scanner that ``json.loads`` runs, called here a value at a time.
+_scan = json.JSONDecoder().scan_once
+_space = json.decoder.WHITESPACE.match
+_comma = re.compile(r"[ \t\n\r]*,[ \t\n\r]*").match
+
+
+def _items(text: str, i: int, close: str, item: Callable[[int], int]) -> int:
+    """Walk the array or object opened at ``text[i]``, ``item`` reading each item from its
+    start to the end it returns; returns the end of ``close`` and the space after it.
+    A fault raises without a location, which ``json.loads`` then gives."""
+    i = _space(text, i + 1).end()
+    if not text.startswith(close, i):
+        i = item(i)
+        while comma := _comma(text, i):
+            i = item(comma.end())
+        i = _space(text, i).end()
+        if text[i] != close:
+            raise ValueError(i)
+    return _space(text, i + 1).end()
+
+
+class _Records(list):
+    """A ``nodes`` or ``edges`` member, each record converted as it is read, until one faults."""
+
+    def __init__(self, convert: Callable[[int, dict], object]) -> None:
+        self.convert, self.fault = convert, None
+
+    def add(self, raws: Iterable[dict]) -> None:
+        try:
+            for raw in raws if self.fault is None else ():
+                self.append(self.convert(len(self), raw))
+        except (KeyError, TypeError, ValueError) as exc:
+            self.fault = exc  # raised after the walk, so that a syntax error anywhere comes first
+
+
+def _topic(i: int, node: dict) -> tuple[TopicRecord, dict]:
+    """Node record ``i`` as its topic, and its stored states for the last check."""
+    label = node["label"]
+    topic = TopicRecord(
+        label=label if label is None else require_str(label, f"nodes[{i}].label"),
+        id=require_str(node["id"], f"nodes[{i}].id"),
+        words=require_words(node["words"], f"nodes[{i}].words"),
+        index=require_int(node["index"], f"nodes[{i}].index"),
+        weight=require_number(node["weight"], f"nodes[{i}].weight"),
+        year=require_int(node["year"], f"nodes[{i}].year"),
+    )
+    return topic, {key: node[key] for key in ("emerging_state", "evolving_state") if key in node}
+
+
+def _edge(k: int, e: dict) -> TetEdge:
+    return TetEdge(
+        from_index=require_int(e["from_index"], f"edges[{k}].from_index"),
+        to_index=require_int(e["to_index"], f"edges[{k}].to_index"),
+        tes=require_number(e["tes"], f"edges[{k}].tes"),
+    )
+
+
 def tet_from_json(text: str) -> Tet:
     """Parse the JSON document back into a tree; inverse of :func:`to_json`.
 
     The states and ``latest_year`` are derived from the tree, and a document
     whose stored values disagree with them is rejected. Raises ``ValueError`` on
     malformed input, including structural problems that violate tree
-    invariants.
+    invariants; a JSON syntax error comes first, as ``json.loads`` raises it.
+    Each ``nodes`` and ``edges`` record becomes its value as it is read.
     """
     require_str(text, "text")
+    doc, records = {}, {}
+
+    def member(i: int) -> int:
+        key, i = _scan(text, i)
+        i = _space(text, i).end()
+        if type(key) is not str or text[i] != ":":
+            raise ValueError(i)
+        i = _space(text, i + 1).end()
+        if key not in ("nodes", "edges"):
+            doc[key], i = _scan(text, i)
+            return i
+        section = records[key] = _Records(_topic if key == "nodes" else _edge)  # so the last of a repeated key wins
+        if not text.startswith("[", i):  # iterated, as the records of an array are
+            raws, i = _scan(text, i)
+            section.add(raws)
+            return i
+
+        def record(j: int) -> int:
+            raw, j = _scan(text, j)
+            section.add((raw,))
+            return j
+
+        return _items(text, i, "]", record)
+
     try:
-        doc = json.loads(text)
+        try:
+            i = _space(text).end()
+            if not text.startswith("{", i):
+                doc = json.loads(text)  # not an object, so rejected below
+            elif _items(text, i, "}", member) != len(text):
+                raise ValueError("extra data")
+        except (ValueError, IndexError, StopIteration):
+            json.loads(text)  # json's own error for the first fault
+            raise
     except RecursionError:
         raise ValueError(
             f"malformed TET JSON: nested too deeply to parse at {_deepest_bracket(text)}"
         ) from None
-    del text  # only the message above reads it, so it is freed before the tree is built
+    del text  # only the walk and its errors read it, so it is freed before the tree is built
     try:
         raw_params = doc["params"]
         params = EvolutionParams(
@@ -405,35 +495,15 @@ def tet_from_json(text: str) -> Tet:
             min_dead=require_int(raw_params["min_dead"], "params.min_dead"),
             threshold_mode=ThresholdMode(raw_params["threshold_mode"]),
         )
-        topics = []
-        for i, node in enumerate(doc["nodes"]):
-            label = node["label"]
-            topic = TopicRecord(
-                label=label if label is None else require_str(label, f"nodes[{i}].label"),
-                id=require_str(node["id"], f"nodes[{i}].id"),
-                words=require_words(node["words"], f"nodes[{i}].words"),
-                index=require_int(node["index"], f"nodes[{i}].index"),
-                weight=require_number(node["weight"], f"nodes[{i}].weight"),
-                year=require_int(node["year"], f"nodes[{i}].year"),
-            )
-            topics.append(topic)
-        # Popped, and each slot cleared as its edge is made, so a raw edge
-        # record is freed once it is read, not when the last one is.
-        raw_edges, edges = doc.pop("edges"), []
-        for k in range(len(raw_edges)):
-            e, raw_edges[k] = raw_edges[k], None
-            edges.append(
-                TetEdge(
-                    from_index=require_int(e["from_index"], f"edges[{k}].from_index"),
-                    to_index=require_int(e["to_index"], f"edges[{k}].to_index"),
-                    tes=require_number(e["tes"], f"edges[{k}].tes"),
-                )
-            )
+        for key in ("nodes", "edges"):
+            if records[key].fault is not None:
+                raise records[key].fault
         latest_year = require_int(doc["latest_year"], "latest_year")
-        tet = Tet(profile=TemporalTopicProfile(topics=tuple(topics)), edges=tuple(edges), params=params)
+        profile = TemporalTopicProfile(topics=tuple(topic for topic, _ in records["nodes"]))
+        tet = Tet(profile=profile, edges=tuple(records.pop("edges")), params=params)
         if latest_year != tet.profile.latest_year:
             raise ValueError(f"latest_year {latest_year} does not match profile ({tet.profile.latest_year})")
-        for node, topic in zip(doc["nodes"], topics):
+        for topic, node in records["nodes"]:
             stored = (node["emerging_state"], node["evolving_state"])
             derived = tuple(state.value for state in tet.states[topic.index])
             if stored != derived:

@@ -1,5 +1,6 @@
-"""The README's export paragraph lists exactly `topictree.__all__`, and every
-name it says stays importable from a module is there."""
+"""The README's export paragraph lists exactly `topictree.__all__`, every
+name it says stays importable from a module is there, and every test it
+cites by name exists."""
 
 import importlib
 import re
@@ -30,3 +31,12 @@ def test_readme_importable_names_exist():
     for names, module in pairs:
         for name in re.findall(r"`(\w+)`", names):
             assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_readme_cites_only_tests_that_exist():
+    cited = set(re.findall(r"`(test_\w+)`", README.read_text(encoding="utf-8")))
+    assert cited, "README cites no test by name"
+    defined = set()
+    for path in README.parent.joinpath("tests").rglob("test_*.py"):
+        defined.update(re.findall(r"^\s*def (test_\w+)\(", path.read_text(encoding="utf-8"), re.MULTILINE))
+    assert sorted(cited - defined) == []

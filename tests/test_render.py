@@ -267,11 +267,12 @@ class TestJson:
             tet_from_json("not json at all {")
 
     def test_read_memory_is_bounded(self):
-        # 122 topics and 2167 edges peak at about 0.55 MB on CPython 3.11,
-        # about what json.loads alone takes for the text; the bound leaves 20 %
-        # headroom. Keeping every parsed edge record until the last edge is
-        # made reads about 0.69 MB, and keeping them or a set of edge pairs
-        # through validation, with a dict per edge and topic, about 0.99 MB.
+        # 122 topics and 2167 edges peak at about 0.42 MB on CPython 3.11,
+        # the finished tree and its validation, and the bound leaves 20 %
+        # headroom. Parsing the whole document with json.loads first, a dict
+        # per node and edge, reads about 0.55 MB; keeping every parsed edge
+        # record until the last edge is made about 0.69 MB, and keeping them
+        # or a set of edge pairs through validation about 0.99 MB.
         tet = build_tet(*random_instance(random.Random(12), max_n=200))
         assert len(tet.edges) >= 2000
         text = to_json(tet)
@@ -283,4 +284,78 @@ class TestJson:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 660_000
+        assert peak < 505_000
+
+
+def read_outcome(text):
+    """What ``tet_from_json`` makes of ``text``: the tree, or the error's type and message."""
+    try:
+        return tet_from_json(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestRecordReader:
+    """``tet_from_json`` reads the nodes and edges a record at a time; it must
+    read what ``json.loads`` reads, and fail as the whole-document reader did."""
+
+    def test_every_spelling_of_a_tree_reads_back_equal(self):
+        rng = random.Random(20261020)
+        for _ in range(300):
+            tet = build_tet(*random_instance(rng, max_n=30))
+            text = to_json(tet)
+            doc = json.loads(text)
+            variants = [
+                text,
+                json.dumps(doc, separators=(",", ":")),
+                json.dumps(dict(reversed(doc.items()))),
+                '{"comment": {"nodes": [1], "edges": "x"}, ' + text[1:],
+                # a repeated key is read as json.loads reads it: the last one wins
+                '{"edges": [null, {"tes": "x"}, 5], ' + text[1:],
+            ]
+            for variant in variants:
+                assert tet_from_json(variant) == tet
+
+    def test_syntax_errors_are_those_of_json_loads(self, tet_exclusive):
+        text = to_json(tet_exclusive)
+        rng = random.Random(7)
+        variants = [text[:k] for k in range(len(text))]
+        variants += [text[:k] + text[k + 1 :] for k in (rng.randrange(len(text)) for _ in range(200))]
+        for variant in variants:
+            try:
+                json.loads(variant)
+            except ValueError as exc:
+                assert read_outcome(variant) == (type(exc), str(exc)), variant
+            else:
+                # still JSON: the outcome depends on the decoded document alone
+                assert read_outcome(variant) == read_outcome(json.dumps(json.loads(variant))), variant
+
+    def test_nesting_too_deep_inside_a_record_is_located(self, tet_exclusive):
+        doc = json.loads(to_json(tet_exclusive))
+        doc["edges"][0]["note"] = 0
+        text = json.dumps(doc).replace('"note": 0', '"note": ' + "[" * 100_000 + "]" * 100_000)
+        column = text.index("[" * 100_000) + 100_000
+        assert read_outcome(text) == (ValueError, f"malformed TET JSON: nested too deeply to parse at line 1, column {column}")
+
+    #: One fault in each stage of the read, in the order the stages run, with
+    #: the stage's name.
+    FAULTS = [
+        ("params", lambda doc: doc["params"].update(min_dead=-1)),
+        ("nodes", lambda doc: doc["nodes"][3].update(weight="heavy")),
+        ("edges", lambda doc: doc["edges"][4].update(tes="strong")),
+        ("latest_year", lambda doc: doc.update(latest_year="soon")),
+        ("tree", lambda doc: doc["edges"][5].update(to_index=99)),
+        ("states", lambda doc: doc["nodes"][5].pop("emerging_state")),
+    ]
+
+    @pytest.mark.parametrize("first,second", [(a, b) for a in range(6) for b in range(a + 1, 6)])
+    def test_the_earlier_stage_fault_is_raised_in_any_member_order(self, tet_exclusive, first, second):
+        base = json.loads(to_json(tet_exclusive))
+        alone = json.loads(to_json(tet_exclusive))
+        self.FAULTS[first][1](alone)
+        expected = read_outcome(json.dumps(alone))
+        assert isinstance(expected, tuple)
+        for mutate in (self.FAULTS[first][1], self.FAULTS[second][1]):
+            mutate(base)
+        assert read_outcome(json.dumps(base)) == expected
+        assert read_outcome(json.dumps(dict(reversed(base.items())))) == expected
