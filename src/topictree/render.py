@@ -384,17 +384,19 @@ def _deepest_bracket(text: str) -> str:
 #: The C scanner that ``json.loads`` runs, called here a value at a time.
 _scan = json.JSONDecoder().scan_once
 _space = json.decoder.WHITESPACE.match
-_comma = re.compile(r"[ \t\n\r]*,[ \t\n\r]*").match
+# A comma between JSON whitespace, compiled on first use, so that only a read pays for it.
+_COMMA = r"[ \t\n\r]*,[ \t\n\r]*"
 
 
 def _items(text: str, i: int, close: str, item: Callable[[int], int]) -> int:
     """Walk the array or object opened at ``text[i]``, ``item`` reading each item from its
     start to the end it returns; returns the end of ``close`` and the space after it.
     A fault raises without a location, which ``json.loads`` then gives."""
+    comma_at = re.compile(_COMMA).match
     i = _space(text, i + 1).end()
     if not text.startswith(close, i):
         i = item(i)
-        while comma := _comma(text, i):
+        while comma := comma_at(text, i):
             i = item(comma.end())
         i = _space(text, i).end()
         if text[i] != close:
