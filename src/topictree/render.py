@@ -481,7 +481,9 @@ def tet_from_json(text: str) -> Tet:
                 doc = json.loads(text)  # not an object, so rejected below
             elif _items(text, i, "}", member) != len(text):
                 raise ValueError("extra data")
-        except (ValueError, IndexError, StopIteration):
+        except (ValueError, IndexError, StopIteration) as fault:
+            fault.with_traceback(None)  # the walk's frames hold records: they go,
+            records.clear()  # so that json.loads does not read the whole document beside them
             json.loads(text)  # json's own error for the first fault
             raise
     except RecursionError:
