@@ -19,11 +19,9 @@ from collections.abc import Iterable, Iterator
 from itertools import chain, islice
 from pathlib import Path
 
-from .builder import build_tet
-from .ingest import CsvValidationError, ValidationReport, parse_profile, parse_tes
+# The parser defaults need these two; each command imports the rest of what it runs.
 from .layout import CanvasSpec
 from .model import EvolutionParams, Tet, ThresholdMode
-from .render import _dot_lines, _json_lines, _svg_lines, tet_from_json
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -33,6 +31,10 @@ EXIT_USAGE = 3
 
 class _BadArguments(Exception):
     pass
+
+
+class _Reported(Exception):
+    """A CSV validation failure whose report is already printed."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,8 +111,8 @@ def _canvas_from_args(args: argparse.Namespace) -> CanvasSpec:
         raise _BadArguments(str(exc)) from exc
 
 
-def _print_report(report: ValidationReport) -> None:
-    for line in report.format_lines():
+def _print_lines(lines: Iterable[str]) -> None:
+    for line in lines:
         print(line, file=sys.stderr)
 
 
@@ -194,28 +196,41 @@ def _write_text(path: str, pieces: Iterable[str]) -> None:
 
 
 def _build_from_args(args: argparse.Namespace) -> Tet:
+    from .builder import build_tet
+    from .ingest import CsvValidationError, parse_profile, parse_tes
+
     params = _params_from_args(args)
-    with open(args.profile, "rb") as handle:
-        profile, profile_report = parse_profile(handle)
-    _print_report(profile_report)
-    with open(args.tes, "rb") as handle:
-        matrix, matrix_report = parse_tes(handle, profile, lenient=args.lenient)
-    _print_report(matrix_report)
+    try:
+        with open(args.profile, "rb") as handle:
+            profile, profile_report = parse_profile(handle)
+        _print_lines(profile_report.format_lines())
+        with open(args.tes, "rb") as handle:
+            matrix, matrix_report = parse_tes(handle, profile, lenient=args.lenient)
+    except CsvValidationError as exc:
+        _print_lines(exc.report.format_lines())
+        raise _Reported from exc
+    _print_lines(matrix_report.format_lines())
     return build_tet(profile, matrix, params)
 
 
 def _render_text(tet: Tet, fmt: str, canvas: CanvasSpec, show_root: bool) -> Iterator[str]:
+    from .render import _dot_lines, _svg_lines
+
     if fmt == "dot":
         return _dot_lines(tet, show_root)
     return _svg_lines(tet, canvas, show_root)
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    from .render import _json_lines
+
     _write_text(args.out, _json_lines(_build_from_args(args)))
     return EXIT_OK
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    from .render import tet_from_json
+
     canvas = _canvas_from_args(args)
     tet = tet_from_json(Path(args.tet).read_text(encoding="utf-8"))
     _write_text(args.out, _render_text(tet, args.format, canvas, args.show_root))
@@ -223,6 +238,8 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .render import _json_lines
+
     # a bad canvas must fail before tet.json is written
     canvas = _canvas_from_args(args)
     tet = _build_from_args(args)
@@ -245,8 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     except _BadArguments as exc:
         print(f"topictree: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CsvValidationError as exc:
-        _print_report(exc.report)
+    except _Reported:
         return EXIT_VALIDATION
     except ValueError as exc:
         print(f"topictree: invalid input: {exc}", file=sys.stderr)

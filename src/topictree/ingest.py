@@ -20,7 +20,7 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import compress
 
-from .model import TemporalTopicProfile, TesMatrix, TopicRecord, _Value, non_xml_char, require_int, require_str, require_type
+from .model import TemporalTopicProfile, TesMatrix, TopicRecord, _Value, format_number, non_xml_char, require_int, require_str, require_type
 
 # Profile error codes.
 MISSING_HEADER = "MissingHeader"
@@ -442,13 +442,6 @@ def _check_tes(cell: str) -> float | tuple[str, str]:
     if not 0.0 <= value <= 1.0:
         return VALUE_OUT_OF_RANGE, f"TES must be in [0, 1], got {value}"
     return value
-
-
-def format_number(value: float) -> str:
-    """Shortest exact decimal form; integral floats drop the trailing ``.0``."""
-    if value == int(value):
-        return str(int(value))
-    return repr(value)
 
 
 def profile_to_csv(profile: TemporalTopicProfile) -> bytes:

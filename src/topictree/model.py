@@ -68,6 +68,13 @@ def require_words(value: object, where: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def format_number(value: float) -> str:
+    """Shortest exact decimal form; integral floats drop the trailing ``.0``."""
+    if value == int(value):
+        return str(int(value))
+    return repr(value)
+
+
 class _Value:
     """An immutable value whose fields are its ``__init__`` parameters, in order; it is
     compared, hashed and shown as ``Name(field=value, ...)`` by them alone.

@@ -19,7 +19,6 @@ from collections.abc import Callable, Iterable, Iterator
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
-from .ingest import format_number
 from .layout import CanvasSpec, _x_of_year, _y_of_weight, compute_positions, place_labels
 from .model import (
     EmergingState,
@@ -30,6 +29,7 @@ from .model import (
     TetEdge,
     ThresholdMode,
     TopicRecord,
+    format_number,
     require_int,
     require_number,
     require_str,

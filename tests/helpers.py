@@ -17,7 +17,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 from topictree import ingest
 from topictree.ingest import CsvValidationError, ValidationReport
@@ -503,3 +506,18 @@ def place_labels_bruteforce(
         assert best is not None
         placed[v] = best[1]
     return placed
+
+
+def fresh_python(code: str) -> str:
+    """Standard output of `code` run in a fresh interpreter that imports
+    topictree from wherever this process does. -S keeps site's .pth hooks
+    from preloading third-party modules."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The modules loaded once `code` has run in a fresh interpreter (see `fresh_python`)."""
+    return set(fresh_python(f"{code}\nimport sys; print(*sys.modules)").split())

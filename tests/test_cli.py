@@ -14,8 +14,8 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from dot_checker import check_dot
-from helpers import odd_tets, random_instance
-from topictree import cli
+from helpers import loaded_modules, odd_tets, random_instance
+from topictree import cli, ingest
 from topictree.builder import build_tet
 from topictree.cli import _BATCH, _canvas_from_args, _params_from_args, _render_text, _write_text, main, make_parser
 from topictree.layout import CanvasSpec
@@ -246,8 +246,8 @@ class TestInputs:
 
             return call
 
-        monkeypatch.setattr(cli, "parse_profile", spy(cli.parse_profile))
-        monkeypatch.setattr(cli, "parse_tes", spy(cli.parse_tes))
+        monkeypatch.setattr(ingest, "parse_profile", spy(ingest.parse_profile))
+        monkeypatch.setattr(ingest, "parse_tes", spy(ingest.parse_tes))
         assert main(build_args(*fixture_paths, "--out", str(tmp_path / "tet.json"))) == 0
         assert [handle.name for handle in seen] == [str(path) for path in fixture_paths]
         assert all(isinstance(handle, io.BufferedReader) and handle.closed for handle in seen)
@@ -631,6 +631,10 @@ class TestDefaults:
         assert _canvas_from_args(args) == CanvasSpec()
 
 
+#: What a render never runs: the CSV parsers and the builder.
+NOT_RENDERING = {"csv", "topictree.ingest", "topictree.builder"}
+
+
 class TestHelp:
     @pytest.mark.parametrize("args", [["--help"], ["build", "--help"], ["render", "--help"], ["run", "--help"]])
     def test_help_exits_zero(self, args, capsys):
@@ -650,16 +654,23 @@ class TestHelp:
         assert "usage" in proc.stdout
 
     def test_imports_only_the_standard_library(self):
-        # -S keeps site's .pth hooks from preloading third-party modules
-        code = "import sys, topictree.cli; print(*sorted(sys.modules))"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        modules = set(proc.stdout.split())
+        modules = loaded_modules("import topictree.cli\nfrom topictree import *")
+        assert {"topictree.builder", "topictree.ingest", "topictree.render"} <= modules
         loaded = {m.partition(".")[0] for m in modules}
-        assert "topictree" in loaded
         assert loaded - set(sys.stdlib_module_names) - {"__main__", "topictree"} == set()
         # xml.sax.saxutils alone would pull in urllib.request, http, email and ssl
         assert loaded & {"xml", "http", "email", "ssl", "socket"} == set()
         # dataclasses alone would pull in inspect, ast, dis and tokenize: about 10 ms of start-up
         assert modules & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+
+    @pytest.mark.parametrize("code", ["import topictree", "import topictree.cli"])
+    def test_import_loads_no_csv_code(self, code):
+        assert loaded_modules(code) & NOT_RENDERING == set()
+
+    @pytest.mark.parametrize("fmt", ["svg", "dot"])
+    def test_render_loads_no_csv_code(self, fmt, tet_json_path, tmp_path):
+        out = tmp_path / f"tet.{fmt}"
+        argv = ["render", "--tet", str(tet_json_path), "--format", fmt, "--out", str(out)]
+        modules = loaded_modules(f"import topictree.cli\nassert topictree.cli.main({argv!r}) == 0")
+        assert out.read_bytes() and "topictree.render" in modules
+        assert modules & NOT_RENDERING == set()

@@ -8,28 +8,33 @@ The command runs in a fresh child process with `PYTHONPATH` set to the
 repository's `src` and bytecode caching on (`PYTHONDONTWRITEBYTECODE` removed),
 as perfbench runs it: compiling every import afresh reads about 1 MB higher,
 so the first run after a source change reads high. The child wraps the stage
-functions that `topictree.cli` calls (STAGES) and writes one line per call to
-standard error: `VmRSS` from `/proc/self/status`, in kB, before and after the
-call, and beside it the highest `VmHWM` read there so far. The kernel can show
-a `VmHWM` lower than an earlier reading, so the raw figure could fall from one
-line to the next; the highest one never does. The first line covers
-`import topictree.cli`, the last the whole command with its exit code, which
-is also this script's exit code.
+functions the command calls (STAGES), each in the module that defines it, and
+writes one line per call to standard error: `VmRSS` from `/proc/self/status`,
+in kB, before and after the call, and beside it the highest `VmHWM` read there
+so far. The kernel can show a `VmHWM` lower than an earlier reading, so the raw
+figure could fall from one line to the next; the highest one never does. The
+first line covers importing `topictree.cli` and the modules that define the
+command's stages, and no others: `render` loads no CSV code. The last line
+covers the whole command with its exit code, which is also this script's exit
+code.
 Standard output is the command's own. Linux only.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+#: Each command's stage functions, as `module.function` under `topictree`.
 #: The CLI hands each input to its parser as the open file, so the
 #: `parse_profile` and `parse_tes` lines cover reading that file too. The
 #: emitters are generators that `_write_text` drives, so its line for an
 #: output covers generating that document (and, for SVG, its layout) too.
-STAGES = ("parse_profile", "parse_tes", "build_tet", "tet_from_json", "_write_text")
+_BUILD = ("ingest.parse_profile", "ingest.parse_tes", "builder.build_tet", "cli._write_text")
+STAGES = {"build": _BUILD, "run": _BUILD, "render": ("render.tet_from_json", "cli._write_text")}
 
 
 #: The highest VmHWM that `status` has read, in kB. Module state suffices:
@@ -74,9 +79,11 @@ def child(argv: list[str]) -> int:
     start = status()
     from topictree import cli
 
+    stages = [stage.split(".") for stage in STAGES.get(argv[0] if argv else "", ())]
+    modules = [importlib.import_module(f"topictree.{module}") for module, _ in stages]
     report("import", start, status())
-    for name in STAGES:
-        setattr(cli, name, traced(name, getattr(cli, name)))
+    for module, (_, name) in zip(modules, stages):
+        setattr(module, name, traced(name, getattr(module, name)))
     code = cli.main(argv)
     report(f"exit {code}", start, status())
     return code
