@@ -418,7 +418,11 @@ class _Records(list):
             self.fault = exc  # raised after the walk, so that a syntax error anywhere comes first
 
 
-def _topic(i: int, node: dict) -> tuple[TopicRecord, dict]:
+#: A stored state that its node record lacks; the state check raises its ``KeyError``.
+_ABSENT = object()
+
+
+def _topic(i: int, node: dict) -> tuple[TopicRecord, tuple[object, object]]:
     """Node record ``i`` as its topic, and its stored states for the last check."""
     label = node["label"]
     topic = TopicRecord(
@@ -429,7 +433,7 @@ def _topic(i: int, node: dict) -> tuple[TopicRecord, dict]:
         weight=require_number(node["weight"], f"nodes[{i}].weight"),
         year=require_int(node["year"], f"nodes[{i}].year"),
     )
-    return topic, {key: node[key] for key in ("emerging_state", "evolving_state") if key in node}
+    return topic, (node.get("emerging_state", _ABSENT), node.get("evolving_state", _ABSENT))
 
 
 def _edge(k: int, e: dict) -> TetEdge:
@@ -507,8 +511,9 @@ def tet_from_json(text: str) -> Tet:
         tet = Tet(profile=profile, edges=tuple(records.pop("edges")), params=params)
         if latest_year != tet.profile.latest_year:
             raise ValueError(f"latest_year {latest_year} does not match profile ({tet.profile.latest_year})")
-        for topic, node in records["nodes"]:
-            stored = (node["emerging_state"], node["evolving_state"])
+        for topic, stored in records["nodes"]:
+            if _ABSENT in stored:
+                raise KeyError(("emerging_state", "evolving_state")[stored.index(_ABSENT)])
             derived = tuple(state.value for state in tet.states[topic.index])
             if stored != derived:
                 raise ValueError(
