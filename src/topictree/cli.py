@@ -121,21 +121,15 @@ def _print_lines(lines: Iterable[str]) -> None:
 _BATCH = 64
 
 
-def _next_batch(pieces: Iterator[str]) -> bytes:
-    """The next ``_BATCH`` pieces as UTF-8, each ended by a newline; empty at the end."""
-    batch = list(islice(pieces, _BATCH))
-    if batch:
-        batch.append("")  # so the join ends the last piece too
-    text = "\n".join(batch)
-    del batch  # the pieces go before the text is encoded
-    return text.encode("utf-8")
-
-
 def _write_batches(handle: io.RawIOBase | io.BufferedIOBase, pieces: Iterator[str]) -> None:
-    """Write ``pieces`` to ``handle``, one batch alive at a time."""
-    while data := _next_batch(pieces):
-        written = handle.write(data)
-        if written != len(data):  # a pipe whose reader has gone can take part of a write and raise nothing
+    """Write ``pieces`` to ``handle`` as UTF-8 lines, ``_BATCH`` at a time, one batch alive at a time."""
+    while batch := list(islice(pieces, _BATCH)):
+        batch.append("")  # so the join ends the last piece too
+        text = "\n".join(batch)
+        del batch  # the pieces go before the text is encoded,
+        data = text.encode("utf-8")
+        del text  # and the text before the bytes are written
+        if (written := handle.write(data)) != len(data):  # a pipe whose reader has gone can take part of a write and raise nothing
             raise OSError(f"write cut short: {written} of {len(data)} bytes written")
         del data  # so the next batch is made without this one
 
@@ -213,18 +207,19 @@ def _build_from_args(args: argparse.Namespace) -> Tet:
     return build_tet(profile, matrix, params)
 
 
-def _render_text(tet: Tet, fmt: str, canvas: CanvasSpec, show_root: bool) -> Iterator[str]:
-    from .render import _dot_lines, _svg_lines
+def _render_text(tet: Tet, fmt: str, canvas: CanvasSpec | None = None, show_root: bool = False) -> Iterator[str]:
+    """The lines of ``tet``'s ``json``, ``svg`` or ``dot`` document, each without its newline."""
+    from .render import _dot_lines, _json_lines, _svg_lines
 
+    if fmt == "json":
+        return _json_lines(tet)
     if fmt == "dot":
         return _dot_lines(tet, show_root)
     return _svg_lines(tet, canvas, show_root)
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    from .render import _json_lines
-
-    _write_text(args.out, _json_lines(_build_from_args(args)))
+    _write_text(args.out, _render_text(_build_from_args(args), "json"))
     return EXIT_OK
 
 
@@ -238,15 +233,12 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from .render import _json_lines
-
     # a bad canvas must fail before tet.json is written
     canvas = _canvas_from_args(args)
     tet = _build_from_args(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_text(str(out_dir / "tet.json"), _json_lines(tet))
-    for fmt in ("svg", "dot"):
+    for fmt in ("json", "svg", "dot"):
         _write_text(str(out_dir / f"tet.{fmt}"), _render_text(tet, fmt, canvas, args.show_root))
     return EXIT_OK
 

@@ -341,10 +341,8 @@ def parse_profile(data: bytes | bytearray | io.BufferedIOBase | io.RawIOBase) ->
         raise CsvValidationError(report)
 
     ordered = sorted(records, key=lambda item: (item[1].year, item[1].index))
-    if [rownum for rownum, _ in ordered] != [rownum for rownum, _ in records]:
-        first = next(
-            rownum for (rownum, _), (sorted_rownum, _) in zip(records, ordered) if rownum != sorted_rownum
-        )
+    moved = (rownum for (rownum, _), (sorted_rownum, _) in zip(records, ordered) if rownum != sorted_rownum)
+    if (first := next(moved, None)) is not None:
         report.warning(first, None, ROWS_RESORTED, "rows were re-sorted ascending by (year, index)")
 
     return TemporalTopicProfile(topics=tuple(record for _, record in ordered)), report

@@ -6,7 +6,9 @@ paths so they can serve as oracles for it. The TES parser oracle checks cell
 by cell and reads the CSV with its own whole-text reader
 (`read_rows_whole_text`), so it shares only number parsing with
 `parse_tes`. The tree JSON oracle (`to_json_reference`) builds the
-document as dicts and hands it to `json.dumps`. The all-pairs label
+document as dicts and hands it to `json.dumps`; the tree JSON reader oracle
+(`tet_from_json_whole`) decodes the whole document with `json.loads` first,
+and shares only the per-record conversion with `tet_from_json`. The all-pairs label
 placement shares the library's offset geometry (`_label_box` and
 `_OFFSETS`) and tie-breaks; it scores `(x0, y0, x1, y1)` boxes with its own
 `intersection_area`, and leaves out the library's grid and interval test.
@@ -41,7 +43,10 @@ from topictree.model import (
     TetEdge,
     ThresholdMode,
     TopicRecord,
+    require_int,
+    require_number,
 )
+from topictree.render import _edge, _topic
 
 _MIN_TES_CHOICES = (0.2, 0.3, 0.4, 0.5, 0.6)
 
@@ -322,6 +327,36 @@ def to_json_reference(tet: Tet) -> str:
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def tet_from_json_whole(text: str) -> Tet:
+    """Tree JSON reader oracle: `json.loads` on the whole text, then params,
+    nodes, edges, `latest_year`, the tree and the stored states, checked in
+    that order, as `tet_from_json` checks them in any member order. Records
+    become values through the library's `_topic` and `_edge`."""
+    doc = json.loads(text)
+    try:
+        raw_params = doc["params"]
+        params = EvolutionParams(
+            min_tes=require_number(raw_params["min_tes"], "params.min_tes"),
+            min_reborn=require_int(raw_params["min_reborn"], "params.min_reborn"),
+            min_dead=require_int(raw_params["min_dead"], "params.min_dead"),
+            threshold_mode=ThresholdMode(raw_params["threshold_mode"]),
+        )
+        topics = [_topic(i, node)[0] for i, node in enumerate(doc["nodes"])]
+        edges = [_edge(k, e) for k, e in enumerate(doc["edges"])]
+        latest_year = require_int(doc["latest_year"], "latest_year")
+        tet = Tet(profile=TemporalTopicProfile(topics=tuple(topics)), edges=tuple(edges), params=params)
+        if latest_year != tet.profile.latest_year:
+            raise ValueError(f"latest_year {latest_year} does not match profile ({tet.profile.latest_year})")
+        for node, topic in zip(doc["nodes"], topics):
+            stored = (node["emerging_state"], node["evolving_state"])
+            derived = tuple(state.value for state in tet.states[topic.index])
+            if stored != derived:
+                raise ValueError(f"topic {topic.index} is stored as {stored} but the tree makes it {derived}")
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed TET JSON: {exc!r}") from exc
+    return tet
 
 
 def independent_ancestors(edge_pairs: set[tuple[int, int]], u: int) -> set[int]:

@@ -275,6 +275,41 @@ class TestBuildTet:
                     edges.append(TetEdge(ROOT_INDEX, topic.index, 1.0))
 
 
+class TestYearCut:
+    def test_a_year_cut_builds_the_first_edges_of_the_full_tree(self):
+        # A topic's parents depend only on strictly older topics, so building
+        # the topics older than a year, renumbered in index order so that the
+        # tie order holds, gives the full build's edges into them, and those
+        # come first. The zero-admit gate is one of the three modes.
+        rng = random.Random(2027)
+        cuts = 0
+        for _ in range(300):
+            profile, matrix, params = random_instance(rng, max_n=30)
+            modes = [(params.min_tes, ThresholdMode.INCLUSIVE), (params.min_tes, ThresholdMode.EXCLUSIVE), (0.0, ThresholdMode.INCLUSIVE)]
+            for min_tes, mode in modes:
+                built = EvolutionParams(min_tes, params.min_reborn, params.min_dead, mode)
+                full = build_tet(profile, matrix, built).edges
+                for year in profile.distinct_years[1:]:
+                    older = [t for t in profile.topics if t.year < year]
+                    old_index = sorted(t.index for t in older)
+                    new_index = {index: k for k, index in enumerate(old_index)}
+                    cut = TemporalTopicProfile(
+                        topics=tuple(
+                            TopicRecord(id=t.id, index=new_index[t.index], weight=t.weight, year=t.year, words=t.words, label=t.label)
+                            for t in older
+                        )
+                    )
+                    prefix = build_tet(cut, TesMatrix(matrix.columns[: len(older)]), built)
+                    mapped = [
+                        TetEdge(e.from_index if e.is_root_edge else old_index[e.from_index], old_index[e.to_index], e.tes)
+                        for e in prefix.edges
+                    ]
+                    assert mapped == list(full[: len(mapped)])
+                    assert all(e.to_index not in new_index for e in full[len(mapped) :])
+                    cuts += 1
+        assert cuts > 1000  # 1467 cuts over the three modes
+
+
 class TestMonotonicity:
     def test_candidates_shrink_as_threshold_rises(self):
         rng = random.Random(7)

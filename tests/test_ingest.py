@@ -120,6 +120,15 @@ class TestParseProfile:
         profile, report = parse_profile(shuffled)
         assert [t.id for t in profile.topics] == ["x", "y"]
         assert [w.code for w in report.warnings] == [ingest.ROWS_RESORTED]
+        # the warning names the first row out of place: the 2003 topic, in row 3
+        _, report = parse_profile(
+            profile_bytes(
+                "x,0,X,0.5,2001,\"['a']\"",
+                "z,2,Z,0.75,2003,\"['d']\"",
+                "y,1,Y,0.25,2002,\"['c']\"",
+            )
+        )
+        assert [(w.code, w.row) for w in report.warnings] == [(ingest.ROWS_RESORTED, 3)]
 
     def test_row_permutations_yield_identical_profile(self):
         import itertools

@@ -8,7 +8,7 @@ import pyparsing
 import pytest
 
 from dot_checker import check_dot
-from helpers import crowded_instance, odd_tets, random_instance, tes_matrix, to_json_reference
+from helpers import crowded_instance, odd_tets, random_instance, tes_matrix, tet_from_json_whole, to_json_reference
 from topictree.builder import build_tet
 from topictree.model import (
     ROOT_INDEX,
@@ -287,12 +287,51 @@ class TestJson:
         assert peak < 505_000
 
 
-def read_outcome(text):
-    """What ``tet_from_json`` makes of ``text``: the tree, or the error's type and message."""
+def read_outcome(text, read=tet_from_json):
+    """What ``read`` makes of ``text``: the tree, or the error's type and message."""
     try:
-        return tet_from_json(text)
+        return read(text)
     except ValueError as exc:
         return type(exc), str(exc)
+
+
+#: A value of each JSON type, for a record field, a params field or a whole member.
+JSON_VALUES = (None, True, False, 0, -3, 2.5, "x", "", [], [1], {}, {"k": 1})
+
+
+def _a_record(rng, doc):
+    return rng.choice(doc[rng.choice(("nodes", "edges"))])
+
+
+def _drop_record_key(rng, doc):
+    record = _a_record(rng, doc)
+    del record[rng.choice(list(record))]
+
+
+def _set_record_field(rng, doc):
+    record = _a_record(rng, doc)
+    record[rng.choice(list(record))] = rng.choice(JSON_VALUES)
+
+
+def _set_params_field(rng, doc):
+    doc["params"][rng.choice(list(doc["params"]))] = rng.choice(JSON_VALUES)
+
+
+def _set_member(rng, doc):
+    doc[rng.choice(list(doc))] = rng.choice(JSON_VALUES)
+
+
+def _drop_member(rng, doc):
+    del doc[rng.choice(list(doc))]
+
+
+def _add_member(rng, doc):
+    doc[rng.choice(("note", "version", "Nodes"))] = rng.choice(JSON_VALUES)
+
+
+#: The faults, those inside a record or ``params`` first, so that each still finds its target
+#: when a document gets two of them in this order.
+DOCUMENT_FAULTS = (_drop_record_key, _set_record_field, _set_params_field, _set_member, _drop_member, _add_member)
 
 
 class TestRecordReader:
@@ -356,6 +395,20 @@ class TestRecordReader:
         finally:
             tracemalloc.stop()
         assert peak < 658_000
+
+    def test_faulty_documents_read_as_the_whole_document_reader_reads_them(self):
+        rng = random.Random(27)
+        for _ in range(40):
+            tet = build_tet(*random_instance(rng))
+            for _ in range(50):
+                doc = json.loads(to_json(tet))
+                for k in sorted(rng.randrange(len(DOCUMENT_FAULTS)) for _ in range(rng.randint(1, 2))):
+                    DOCUMENT_FAULTS[k](rng, doc)
+                members = list(doc.items())
+                rng.shuffle(members)
+                for order in (members, members[::-1]):
+                    text = json.dumps(dict(order))
+                    assert read_outcome(text) == read_outcome(text, tet_from_json_whole), text
 
     #: One fault in each stage of the read, in the order the stages run, with
     #: the stage's name.

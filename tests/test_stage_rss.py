@@ -46,6 +46,10 @@ def test_one_line_per_stage_call(tmp_path):
     assert (code, other) == (0, [])
     assert names == ["import", "tet_from_json", "_write_text", "exit 0"]
     assert (tmp_path / "x.dot").read_text().startswith("digraph")
+    code, names, other = stage_rss("build", *inputs, "--out", str(tmp_path / "x.json"))
+    assert (code, other) == (0, [])
+    assert names == ["import", "parse_profile", "parse_tes", "build_tet", "_write_text", "exit 0"]
+    assert (tmp_path / "x.json").read_bytes() == (tmp_path / "tet.json").read_bytes()
 
 
 def test_exit_code_is_the_commands():
