@@ -8,10 +8,11 @@ by cell and reads the CSV with its own whole-text reader
 `parse_tes`. The tree JSON oracle (`to_json_reference`) builds the
 document as dicts and hands it to `json.dumps`; the tree JSON reader oracle
 (`tet_from_json_whole`) decodes the whole document with `json.loads` first,
-and shares only the per-record conversion with `tet_from_json`. The all-pairs label
-placement shares the library's offset geometry (`_label_box` and
-`_OFFSETS`) and tie-breaks; it scores `(x0, y0, x1, y1)` boxes with its own
-`intersection_area`, and leaves out the library's grid and interval test.
+and shares only the per-record conversion with `tet_from_json`. The
+all-pairs label placement shares the library's offset geometry
+(`_label_box` and `_OFFSETS`) and tie-breaks; it scores `(x0, y0, x1, y1)`
+boxes with its own `intersection_area`, and leaves out the library's grid
+and interval test.
 """
 
 from __future__ import annotations

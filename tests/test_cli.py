@@ -20,7 +20,7 @@ from topictree.builder import build_tet
 from topictree.cli import _BATCH, _canvas_from_args, _params_from_args, _render_text, _write_text, main, make_parser
 from topictree.layout import CanvasSpec
 from topictree.model import EvolutionParams
-from topictree.render import _json_lines, _svg_lines, tet_from_json, to_dot, to_json, to_svg
+from topictree.render import _svg_lines, tet_from_json, to_dot, to_json, to_svg
 
 
 @pytest.fixture
@@ -363,7 +363,7 @@ class TestStdout:
 
 def streamed(tet, fmt, show_root):
     """The pieces the CLI writes for ``tet`` in ``fmt``."""
-    return _json_lines(tet) if fmt == "json" else _render_text(tet, fmt, CanvasSpec(), show_root)
+    return _render_text(tet, fmt, CanvasSpec(), show_root)
 
 
 def whole(tet, fmt, show_root):
