@@ -6,7 +6,8 @@ format, and iteration follows profile/edge order. The JSON document is the
 canonical machine-readable form and round-trips losslessly through
 :func:`tet_from_json`. Each emitter joins the lines of a private generator
 (``_svg_lines``, ``_dot_lines``, ``_json_lines``), which the CLI writes as
-they are made instead.
+they are made instead. :func:`tet_from_json` reads a document in one
+``json.loads`` pass whose hook turns each record into its value as it is decoded.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import math
 import re
 from bisect import bisect_right
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
@@ -287,7 +288,7 @@ def to_dot(tet: Tet, show_root: bool = False) -> str:
 def _dot_lines(tet: Tet, show_root: bool) -> Iterator[str]:
     """The lines of :func:`to_dot`'s document, without newlines; the check and the sorts run before the first."""
     require_type(tet, Tet, "tet")
-    topics = sorted(tet.profile.topics, key=lambda t: t.index)
+    topics = sorted(tet.profile.topics, key=lambda t: t.index)  # so topics[i] has index i
     edges = sorted(tet.edges, key=attrgetter("to_index"))
     edges.sort(key=attrgetter("from_index"))  # stable, so by (from, to), with no key tuple per edge
     yield "digraph tet {"
@@ -305,11 +306,11 @@ def _dot_lines(tet: Tet, show_root: bool) -> Iterator[str]:
         if e.is_root_edge:
             if not show_root:
                 continue
-            yield f'  "root" -> {_dot_quote(tet.profile.topic(e.to_index).id)};'
+            yield f'  "root" -> {_dot_quote(topics[e.to_index].id)};'
         else:
             yield (
-                f"  {_dot_quote(tet.profile.topic(e.from_index).id)} -> "
-                f'{_dot_quote(tet.profile.topic(e.to_index).id)} [tes="{format_number(e.tes)}"];'
+                f"  {_dot_quote(topics[e.from_index].id)} -> "
+                f'{_dot_quote(topics[e.to_index].id)} [tes="{format_number(e.tes)}"];'
             )
     yield "}"
 
@@ -381,43 +382,6 @@ def _deepest_bracket(text: str) -> str:
     return f"line {line}, column {column}"
 
 
-#: The C scanner that ``json.loads`` runs, called here a value at a time.
-_scan = json.JSONDecoder().scan_once
-_space = json.decoder.WHITESPACE.match
-# A comma between JSON whitespace, compiled on first use, so that only a read pays for it.
-_COMMA = r"[ \t\n\r]*,[ \t\n\r]*"
-
-
-def _items(text: str, i: int, close: str, item: Callable[[int], int]) -> int:
-    """Walk the array or object opened at ``text[i]``, ``item`` reading each item from its
-    start to the end it returns; returns the end of ``close`` and the space after it.
-    A fault raises without a location, which ``json.loads`` then gives."""
-    comma_at = re.compile(_COMMA).match
-    i = _space(text, i + 1).end()
-    if not text.startswith(close, i):
-        i = item(i)
-        while comma := comma_at(text, i):
-            i = item(comma.end())
-        i = _space(text, i).end()
-        if text[i] != close:
-            raise ValueError(i)
-    return _space(text, i + 1).end()
-
-
-class _Records(list):
-    """A ``nodes`` or ``edges`` member, each record converted as it is read, until one faults."""
-
-    def __init__(self, convert: Callable[[int, dict], object]) -> None:
-        self.convert, self.fault = convert, None
-
-    def add(self, raws: Iterable[dict]) -> None:
-        try:
-            for raw in raws if self.fault is None else ():
-                self.append(self.convert(len(self), raw))
-        except (KeyError, TypeError, ValueError) as exc:
-            self.fault = exc  # raised after the walk, so that a syntax error anywhere comes first
-
-
 #: A stored state that its node record lacks; the state check raises its ``KeyError``.
 _ABSENT = object()
 
@@ -451,50 +415,38 @@ def tet_from_json(text: str) -> Tet:
     whose stored values disagree with them is rejected. Raises ``ValueError`` on
     malformed input, including structural problems that violate tree
     invariants; a JSON syntax error comes first, as ``json.loads`` raises it.
-    Each ``nodes`` and ``edges`` record becomes its value as it is read.
+    Each node and edge record becomes its value as soon as it is decoded.
     """
     require_str(text, "text")
-    doc, records = {}, {}
+    converted = 0
 
-    def member(i: int) -> int:
-        key, i = _scan(text, i)
-        i = _space(text, i).end()
-        if type(key) is not str or text[i] != ":":
-            raise ValueError(i)
-        i = _space(text, i + 1).end()
-        if key not in ("nodes", "edges"):
-            doc[key], i = _scan(text, i)
-            return i
-        section = records[key] = _Records(_topic if key == "nodes" else _edge)  # so the last of a repeated key wins
-        if not text.startswith("[", i):  # iterated, as the records of an array are
-            raws, i = _scan(text, i)
-            section.add(raws)
-            return i
-
-        def record(j: int) -> int:
-            raw, j = _scan(text, j)
-            section.add((raw,))
-            return j
-
-        return _items(text, i, "]", record)
+    def record(raw: dict) -> object:
+        """An edge or node record as its value, as soon as it is decoded; any other object as it is."""
+        nonlocal converted
+        convert = _edge if "tes" in raw else _topic if "words" in raw else None
+        if convert is not None:
+            try:
+                raw = convert(-1, raw)
+                converted += 1
+            except (KeyError, TypeError, ValueError):
+                pass  # left a dict: the check below converts it again with its index, so its fault names it
+        return raw
 
     try:
-        try:
-            i = _space(text).end()
-            if not text.startswith("{", i):
-                doc = json.loads(text)  # not an object, so rejected below
-            elif _items(text, i, "}", member) != len(text):
-                raise ValueError("extra data")
-        except (ValueError, IndexError, StopIteration) as fault:
-            fault.with_traceback(None)  # the walk's frames hold records: they go,
-            records.clear()  # so that json.loads does not read the whole document beside them
-            json.loads(text)  # json's own error for the first fault
-            raise
+        doc = json.loads(text, object_hook=record)
+        placed = 0
+        if type(doc) is dict:
+            for key, kind in (("nodes", tuple), ("edges", TetEdge)):
+                if type(doc.get(key)) is list:
+                    placed += sum(type(value) is kind for value in doc[key])
+        if placed != converted:  # a record-shaped object sits elsewhere: it reads as the dict it is
+            del doc  # before the second decode, so that the two documents are never alive together
+            doc = json.loads(text)
     except RecursionError:
         raise ValueError(
             f"malformed TET JSON: nested too deeply to parse at {_deepest_bracket(text)}"
         ) from None
-    del text  # only the walk and its errors read it, so it is freed before the tree is built
+    del text  # only the decodes and their errors read it, so it is freed before the tree is built
     try:
         raw_params = doc["params"]
         params = EvolutionParams(
@@ -503,15 +455,14 @@ def tet_from_json(text: str) -> Tet:
             min_dead=require_int(raw_params["min_dead"], "params.min_dead"),
             threshold_mode=ThresholdMode(raw_params["threshold_mode"]),
         )
-        for key in ("nodes", "edges"):
-            if records[key].fault is not None:
-                raise records[key].fault
+        nodes = [n if type(n) is tuple else _topic(i, n) for i, n in enumerate(doc["nodes"])]
+        edges = tuple(e if type(e) is TetEdge else _edge(k, e) for k, e in enumerate(doc["edges"]))
         latest_year = require_int(doc["latest_year"], "latest_year")
-        profile = TemporalTopicProfile(topics=tuple(topic for topic, _ in records["nodes"]))
-        tet = Tet(profile=profile, edges=tuple(records.pop("edges")), params=params)
+        del doc  # and with it the edge list, before validation
+        tet = Tet(profile=TemporalTopicProfile(topics=tuple(topic for topic, _ in nodes)), edges=edges, params=params)
         if latest_year != tet.profile.latest_year:
             raise ValueError(f"latest_year {latest_year} does not match profile ({tet.profile.latest_year})")
-        for topic, stored in records["nodes"]:
+        for topic, stored in nodes:
             if _ABSENT in stored:
                 raise KeyError(("emerging_state", "evolving_state")[stored.index(_ABSENT)])
             derived = tuple(state.value for state in tet.states[topic.index])

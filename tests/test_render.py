@@ -295,8 +295,13 @@ def read_outcome(text, read=tet_from_json):
         return type(exc), str(exc)
 
 
-#: A value of each JSON type, for a record field, a params field or a whole member.
-JSON_VALUES = (None, True, False, 0, -3, 2.5, "x", "", [], [1], {}, {"k": 1})
+#: A value of each JSON type, for a record field, a params field or a whole member, and an
+#: edge-shaped and a node-shaped object, which then stand outside the record arrays.
+JSON_VALUES = (
+    None, True, False, 0, -3, 2.5, "x", "", [], [1], {}, {"k": 1},
+    {"from_index": 0, "to_index": 1, "tes": 0.5},
+    {"id": "t0", "index": 0, "label": None, "year": 2000, "weight": 0.5, "words": ["w"]},
+)  # fmt: skip
 
 
 def _a_record(rng, doc):
@@ -317,6 +322,12 @@ def _set_params_field(rng, doc):
     doc["params"][rng.choice(list(doc["params"]))] = rng.choice(JSON_VALUES)
 
 
+def _move_record(rng, doc):
+    """A copy of a record put into the other array, where it is out of place."""
+    source, target = rng.sample(("nodes", "edges"), 2)
+    doc[target].insert(rng.randint(0, len(doc[target])), dict(rng.choice(doc[source])))
+
+
 def _set_member(rng, doc):
     doc[rng.choice(list(doc))] = rng.choice(JSON_VALUES)
 
@@ -331,12 +342,14 @@ def _add_member(rng, doc):
 
 #: The faults, those inside a record or ``params`` first, so that each still finds its target
 #: when a document gets two of them in this order.
-DOCUMENT_FAULTS = (_drop_record_key, _set_record_field, _set_params_field, _set_member, _drop_member, _add_member)
+DOCUMENT_FAULTS = (
+    _drop_record_key, _set_record_field, _set_params_field, _move_record, _set_member, _drop_member, _add_member
+)  # fmt: skip
 
 
 class TestRecordReader:
-    """``tet_from_json`` reads the nodes and edges a record at a time; it must
-    read what ``json.loads`` reads, and fail as the whole-document reader did."""
+    """``tet_from_json`` converts each node and edge record as it is decoded; it
+    must read what ``json.loads`` reads, and fail as the whole-document reader does."""
 
     def test_every_spelling_of_a_tree_reads_back_equal(self):
         rng = random.Random(20261020)
@@ -377,11 +390,11 @@ class TestRecordReader:
         assert read_outcome(text) == (ValueError, f"malformed TET JSON: nested too deeply to parse at line 1, column {column}")
 
     def test_syntax_error_read_memory_is_bounded(self):
-        # A syntax error in the last edge is reported by json.loads reading the
-        # whole text. The records made before it are dropped first, so the read
-        # peaks at about 0.55 MB on CPython 3.11, near the 0.53 MB of json.loads
-        # alone, and the bound leaves 20 % headroom. Keeping the records reads
-        # about 0.79 MB, and keeping only the walk's traceback about 0.73 MB.
+        # A syntax error in the last edge is reported by the one decode, which
+        # has turned every record before it into its value. So the read peaks
+        # at about 0.24 MB on CPython 3.11, the bound leaves 20 % headroom, and
+        # a document of one dict per record, which json.loads alone makes
+        # before the same error, reads about 0.53 MB.
         text = to_json(build_tet(*random_instance(random.Random(12), max_n=200)))
         k = text.rindex('"tes"')
         text = text[:k] + '"tes" 1' + text[k + 6 :]
@@ -394,7 +407,26 @@ class TestRecordReader:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 658_000
+        assert peak < 284_000
+
+    def test_record_fault_read_memory_is_bounded(self):
+        # A bad tes in the last edge is found by the check after the decode, on
+        # the record the decode left a dict; the document is not decoded again.
+        # The read peaks at about 0.26 MB on CPython 3.11, and the bound is
+        # that of a valid read. Decoding again on any fault reads about 0.69 MB.
+        text = to_json(build_tet(*random_instance(random.Random(12), max_n=200)))
+        k = text.rindex('"tes": ')
+        text = text[:k] + '"tes": "x"' + text[text.index("\n", k) :]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            with pytest.raises(ValueError, match=r"^edges\[2166\]\.tes must be a number"):
+                tet_from_json(text)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 505_000
 
     def test_faulty_documents_read_as_the_whole_document_reader_reads_them(self):
         rng = random.Random(27)
