@@ -55,11 +55,15 @@ class CanvasSpec(_Value):
 
     def __init__(self, width: float = 1000.0, height: float = 600.0) -> None:
         self._store(require_number(width, "width"), require_number(height, "height"))
-        # written so that NaN fails it too
-        if not (self.width <= self.max_size and self.height <= self.max_size):
-            raise ValueError(f"canvas sizes must be finite and at most {self.max_size:g}")
-        if self.plot_width <= 0 or self.plot_height <= 0:
-            raise ValueError("margins leave no plot area")
+        for name, size in (("width", self.width), ("height", self.height)):
+            if not size <= self.max_size:  # written so that NaN fails it too
+                raise ValueError(f"{name} must be finite and at most {self.max_size:g}, got {size}")
+        for name, size, plot, margins in (
+            ("width", self.width, self.plot_width, self.margin_left + self.margin_right),
+            ("height", self.height, self.plot_height, self.margin_top + self.margin_bottom),
+        ):
+            if plot <= 0:
+                raise ValueError(f"{name} must be more than {margins:g} to leave a plot area, got {size}")
 
     @property
     def plot_left(self) -> float:

@@ -11,6 +11,7 @@ import re
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from functools import cached_property
+from itertools import pairwise
 
 #: Index of the artificial root node. The root carries no year, weight or
 #: states; it exists only so that parentless topics have somewhere to attach.
@@ -153,22 +154,22 @@ class TopicRecord(_Value):
     def __init__(
         self, id: str, index: int, weight: float, year: int, words: tuple[str, ...], label: str | None = None
     ) -> None:
-        if not require_str(id, "topic id"):
-            raise ValueError("topic id must be non-empty")
+        if not require_str(id, "id"):
+            raise ValueError("id must be non-empty")
         if label is not None:
-            require_str(label, f"topic {id!r}: label")
+            require_str(label, "label")
         for name, text in (("id", id), ("label", label or "")):
             if (char := non_xml_char(text)) is not None:
-                raise ValueError(f"topic {id!r}: {name} holds U+{ord(char):04X}, which XML cannot carry")
-        if require_int(index, f"topic {id!r}: index") < 0:
-            raise ValueError(f"topic {id!r}: index must be >= 0, got {index}")
-        require_int(year, f"topic {id!r}: year")
-        weight = require_number(weight, f"topic {id!r}: weight")
+                raise ValueError(f"{name} holds U+{ord(char):04X}, which XML cannot carry")
+        if require_int(index, "index") < 0:
+            raise ValueError(f"index must be >= 0, got {index}")
+        require_int(year, "year")
+        weight = require_number(weight, "weight")
         if not 0.0 <= weight <= 1.0:
-            raise ValueError(f"topic {id!r}: weight must be in [0, 1], got {weight}")
-        words = require_words(words, f"topic {id!r}: words")
+            raise ValueError(f"weight must be in [0, 1], got {weight}")
+        words = require_words(words, "words")
         if not words:
-            raise ValueError(f"topic {id!r}: words must be non-empty")
+            raise ValueError("words must be non-empty")
         self._store(id, index, weight, year, words, label)
 
     @property
@@ -195,15 +196,20 @@ class TemporalTopicProfile(_Value):
             require_type(t, TopicRecord, "topic")
             position[t.index] = pos
         if len(position) != n:
-            raise ValueError("topic indices must be unique")
+            repeated = next(value for value, count in Counter(t.index for t in topics).items() if count > 1)
+            raise ValueError(f"topic indices must be unique, but index {repeated} repeats")
         if position.keys() != set(range(n)):
-            raise ValueError(f"topic indices must be exactly 0..{n - 1}")
-        ids = [t.id for t in topics]
-        if len(set(ids)) != n:
-            raise ValueError("topic ids must be unique")
-        keys = [(t.year, t.index) for t in topics]
-        if keys != sorted(keys):
-            raise ValueError("topics must be sorted ascending by (year, index)")
+            missing = next(i for i in range(n) if i not in position)
+            raise ValueError(f"topic indices must be exactly 0..{n - 1}, but index {missing} is missing")
+        if len({t.id for t in topics}) != n:
+            repeated = next(value for value, count in Counter(t.id for t in topics).items() if count > 1)
+            raise ValueError(f"topic ids must be unique, but id {repeated!r} repeats")
+        for before, t in pairwise(topics):
+            if (t.year, t.index) < (before.year, before.index):
+                raise ValueError(
+                    f"topics must be sorted ascending by (year, index), but topic {t.index} "
+                    f"(year {t.year}) follows topic {before.index} (year {before.year})"
+                )
         self._store(topics)
         object.__setattr__(self, "_position_by_index", position)
 
@@ -306,11 +312,11 @@ class TetEdge(_Value):
             raise ValueError(f"from_index must be >= {ROOT_INDEX}, got {from_index}")
         if require_int(to_index, "to_index") < 0:
             raise ValueError(f"to_index must be >= 0, got {to_index}")
-        tes = require_number(tes, "edge tes")
+        tes = require_number(tes, "tes")
         if not 0.0 <= tes <= 1.0:
-            raise ValueError(f"edge tes must be in [0, 1], got {tes}")
+            raise ValueError(f"tes must be in [0, 1], got {tes}")
         if from_index == ROOT_INDEX and tes != 1.0:
-            raise ValueError("root edges carry tes 1")
+            raise ValueError(f"tes of a root edge must be 1, got {tes}")
         self._store(from_index, to_index, tes)
 
     @property

@@ -16,7 +16,7 @@ import json
 import math
 import re
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
@@ -32,10 +32,8 @@ from .model import (
     TopicRecord,
     format_number,
     require_int,
-    require_number,
     require_str,
     require_type,
-    require_words,
 )
 
 #: Glyph fills: a topic's circle is split vertically, the left half showing
@@ -382,30 +380,36 @@ def _deepest_bracket(text: str) -> str:
     return f"line {line}, column {column}"
 
 
-#: A stored state that its node record lacks; the state check raises its ``KeyError``.
+#: A stored state that its node record lacks; the state check names the record.
 _ABSENT = object()
 
 
-def _topic(i: int, node: dict) -> tuple[TopicRecord, tuple[object, object]]:
-    """Node record ``i`` as its topic, and its stored states for the last check."""
-    label = node["label"]
-    topic = TopicRecord(
-        label=label if label is None else require_str(label, f"nodes[{i}].label"),
-        id=require_str(node["id"], f"nodes[{i}].id"),
-        words=require_words(node["words"], f"nodes[{i}].words"),
-        index=require_int(node["index"], f"nodes[{i}].index"),
-        weight=require_number(node["weight"], f"nodes[{i}].weight"),
-        year=require_int(node["year"], f"nodes[{i}].year"),
-    )
+def _topic(node: dict) -> tuple[TopicRecord, tuple[object, object]]:
+    """A node record as its topic, and its stored states for the last check."""
+    topic = TopicRecord(node["id"], node["index"], node["weight"], node["year"], node["words"], node["label"])
     return topic, (node.get("emerging_state", _ABSENT), node.get("evolving_state", _ABSENT))
 
 
-def _edge(k: int, e: dict) -> TetEdge:
-    return TetEdge(
-        from_index=require_int(e["from_index"], f"edges[{k}].from_index"),
-        to_index=require_int(e["to_index"], f"edges[{k}].to_index"),
-        tes=require_number(e["tes"], f"edges[{k}].tes"),
-    )
+def _edge(edge: dict) -> TetEdge:
+    return TetEdge(edge["from_index"], edge["to_index"], edge["tes"])
+
+
+def _params(params: dict) -> EvolutionParams:
+    *numbers, mode = params["min_tes"], params["min_reborn"], params["min_dead"], params["threshold_mode"]
+    # a mode that is none of the values is passed on as it is, for the constructor to name
+    return EvolutionParams(*numbers, next((m for m in ThresholdMode if m.value == mode), mode))
+
+
+def _read(convert: Callable[[dict], object], raw: object, name: str, i: int | None = None) -> object:
+    """``convert(raw)``, any fault in it raised as a ``ValueError`` naming the record ``name[i]``, or ``name``."""
+    try:
+        return convert(raw)
+    except (KeyError, TypeError, ValueError) as exc:
+        path = name if i is None else f"{name}[{i}]"  # formatted only for a fault
+        if isinstance(exc, ValueError):
+            raise ValueError(f"{path}.{exc}") from exc
+        fault = f"has no key {exc}" if isinstance(exc, KeyError) else f"must be an object, got {type(raw).__name__}"
+        raise ValueError(f"malformed TET JSON: {path} {fault}") from exc
 
 
 def tet_from_json(text: str) -> Tet:
@@ -415,7 +419,7 @@ def tet_from_json(text: str) -> Tet:
     whose stored values disagree with them is rejected. Raises ``ValueError`` on
     malformed input, including structural problems that violate tree
     invariants; a JSON syntax error comes first, as ``json.loads`` raises it.
-    Each node and edge record becomes its value as soon as it is decoded.
+    Each record becomes its value as soon as it is decoded, and a fault in one names it.
     """
     require_str(text, "text")
     converted = 0
@@ -426,10 +430,10 @@ def tet_from_json(text: str) -> Tet:
         convert = _edge if "tes" in raw else _topic if "words" in raw else None
         if convert is not None:
             try:
-                raw = convert(-1, raw)
+                raw = convert(raw)
                 converted += 1
-            except (KeyError, TypeError, ValueError):
-                pass  # left a dict: the check below converts it again with its index, so its fault names it
+            except (KeyError, ValueError):
+                pass  # left a dict: the check below reads it again with its index, so its fault names it
         return raw
 
     try:
@@ -448,23 +452,18 @@ def tet_from_json(text: str) -> Tet:
         ) from None
     del text  # only the decodes and their errors read it, so it is freed before the tree is built
     try:
-        raw_params = doc["params"]
-        params = EvolutionParams(
-            min_tes=require_number(raw_params["min_tes"], "params.min_tes"),
-            min_reborn=require_int(raw_params["min_reborn"], "params.min_reborn"),
-            min_dead=require_int(raw_params["min_dead"], "params.min_dead"),
-            threshold_mode=ThresholdMode(raw_params["threshold_mode"]),
-        )
-        nodes = [n if type(n) is tuple else _topic(i, n) for i, n in enumerate(doc["nodes"])]
-        edges = tuple(e if type(e) is TetEdge else _edge(k, e) for k, e in enumerate(doc["edges"]))
+        params = _read(_params, doc["params"], "params")
+        nodes = [n if type(n) is tuple else _read(_topic, n, "nodes", i) for i, n in enumerate(doc["nodes"])]
+        edges = tuple(e if type(e) is TetEdge else _read(_edge, e, "edges", k) for k, e in enumerate(doc["edges"]))
         latest_year = require_int(doc["latest_year"], "latest_year")
         del doc  # and with it the edge list, before validation
         tet = Tet(profile=TemporalTopicProfile(topics=tuple(topic for topic, _ in nodes)), edges=edges, params=params)
         if latest_year != tet.profile.latest_year:
             raise ValueError(f"latest_year {latest_year} does not match profile ({tet.profile.latest_year})")
-        for topic, stored in nodes:
+        for i, (topic, stored) in enumerate(nodes):
             if _ABSENT in stored:
-                raise KeyError(("emerging_state", "evolving_state")[stored.index(_ABSENT)])
+                key = ("emerging_state", "evolving_state")[stored.index(_ABSENT)]
+                raise ValueError(f"malformed TET JSON: nodes[{i}] has no key {key!r}")
             derived = tuple(state.value for state in tet.states[topic.index])
             if stored != derived:
                 raise ValueError(

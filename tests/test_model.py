@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import pytest
 
@@ -77,12 +78,12 @@ class TestTemporalTopicProfile:
             TemporalTopicProfile(topics=(topic(0, 2001), topic(2, 2002)))
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError, match="unique"):
+        with pytest.raises(ValueError, match="^topic ids must be unique, but id 'x' repeats$"):
             TemporalTopicProfile(topics=(topic(0, 2001, id="x"), topic(1, 2002, id="x")))
 
     def test_duplicate_indices_rejected(self):
         # checked before the 0..N-1 range, which a repeated index also breaks
-        with pytest.raises(ValueError, match="^topic indices must be unique$"):
+        with pytest.raises(ValueError, match=r"^topic indices must be unique, but index 0 repeats$"):
             TemporalTopicProfile(topics=(topic(0, 2001, id="a"), topic(0, 2002, id="b")))
 
     def test_unsorted_topics_rejected(self):
@@ -92,6 +93,25 @@ class TestTemporalTopicProfile:
     def test_year_tie_breaks_by_index(self):
         with pytest.raises(ValueError, match="sorted"):
             TemporalTopicProfile(topics=(topic(1, 2001), topic(0, 2001)))
+
+    @pytest.mark.parametrize(
+        "topics,message",
+        [
+            # of the repeated indices or ids, the one that occurs first
+            ((topic(1, 2001), topic(2, 2001), topic(2, 2002, id="b"), topic(1, 2002, id="a")), "index 1 repeats"),
+            ((topic(0, 2001, id="y"), topic(1, 2001, id="x"), topic(2, 2002, id="x"), topic(3, 2002, id="y")), "id 'y' repeats"),
+            # the lowest missing index
+            ((topic(0, 2001), topic(3, 2001), topic(4, 2002), topic(5, 2002), topic(6, 2003)), "but index 1 is missing"),
+            # the first topic out of order, not the topic that would sort first
+            (
+                (topic(0, 2001), topic(2, 2003), topic(1, 2002), topic(3, 2000)),
+                "but topic 1 (year 2002) follows topic 2 (year 2003)",
+            ),
+        ],
+    )
+    def test_faults_name_the_culprit(self, topics, message):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            TemporalTopicProfile(topics=topics)
 
     def test_empty_profile_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -264,7 +284,7 @@ class TestTextFields:
         assert topic(0, 2001, words=["a", "b"]).words == ("a", "b")
 
     def test_integer_id_rejected(self):
-        with pytest.raises(ValueError, match="topic id must be a string, got 7"):
+        with pytest.raises(ValueError, match="^id must be a string, got 7$"):
             topic(0, 2001, id=7)
 
     def test_integer_label_rejected(self):
@@ -279,6 +299,34 @@ class TestTextFields:
     def test_number_messages_print_the_stored_float(self):
         with pytest.raises(ValueError, match=r"weight must be in \[0, 1\], got 2\.0$"):
             topic(0, 2001, weight=2)
+
+
+# A constructor's message starts with the faulty field, so that a reader of a
+# document can prefix it with the record's path: nodes[3].weight must be ...
+FIELD_FIRST = [
+    (lambda v: topic(0, 2001, id=v), "id", [7, "", "a\x01"]),
+    (lambda v: topic(0, 2001, label=v), "label", [5, "a\x01"]),
+    (lambda v: topic(v, 2001), "index", [True, -1]),
+    (lambda v: topic(0, v), "year", [2001.0]),
+    (lambda v: topic(0, 2001, weight=v), "weight", ["0.5", 2, 10**400]),
+    (lambda v: topic(0, 2001, words=v), "words", ["abc", ()]),
+    (lambda v: TetEdge(from_index=v, to_index=1, tes=0.5), "from_index", [0.0, -2]),
+    (lambda v: TetEdge(from_index=0, to_index=v, tes=0.5), "to_index", ["1", -1]),
+    (lambda v: TetEdge(from_index=0, to_index=1, tes=v), "tes", [True, 1.5]),
+    (lambda v: TetEdge(from_index=ROOT_INDEX, to_index=1, tes=v), "tes", [0.5]),
+    (lambda v: EvolutionParams(min_tes=v), "min_tes", ["0.2", 1.5]),
+    (lambda v: EvolutionParams(min_reborn=v), "min_reborn", [1.0, -1]),
+    (lambda v: EvolutionParams(min_dead=v), "min_dead", [None, -1]),
+    (lambda v: EvolutionParams(threshold_mode=v), "threshold_mode", ["inclusive"]),
+    (lambda v: CanvasSpec(width=v), "width", ["1000", math.inf, math.nan, 250]),
+    (lambda v: CanvasSpec(height=v), "height", [None, 1e7, -math.inf, 80.0]),
+]
+
+
+@pytest.mark.parametrize("make,field,value", [(make, field, v) for make, field, values in FIELD_FIRST for v in values])
+def test_constructor_names_the_faulty_field_first(make, field, value):
+    with pytest.raises(ValueError, match=rf"^{field} "):
+        make(value)
 
 
 def make_tet(profile, edge_triples):

@@ -262,6 +262,58 @@ class TestJson:
         with pytest.raises(ValueError, match=rf"^nodes\[0\]\.{message}"):
             tet_from_json(json.dumps(doc))
 
+    #: (record, field, value, message): every field of a node (nodes[2]), a non-root edge (edges[3]),
+    #: a root edge (edges[4]) and params, given a wrong type and, where the field has a range, a value
+    #: of its type outside it; then a missing key and a record that is not an object, for each record.
+    RECORD_FAULTS = [
+        ("nodes[2]", "id", 7, "nodes[2].id must be a string, got 7"),
+        ("nodes[2]", "id", "", "nodes[2].id must be non-empty"),
+        ("nodes[2]", "index", "2", "nodes[2].index must be an integer, got '2'"),
+        ("nodes[2]", "index", -1, "nodes[2].index must be >= 0, got -1"),
+        ("nodes[2]", "label", 5, "nodes[2].label must be a string, got 5"),
+        ("nodes[2]", "year", 2002.5, "nodes[2].year must be an integer, got 2002.5"),
+        ("nodes[2]", "weight", True, "nodes[2].weight must be a number, got True"),
+        ("nodes[2]", "weight", 2, "nodes[2].weight must be in [0, 1], got 2.0"),
+        ("nodes[2]", "words", "abc", "nodes[2].words must be a list of strings, got 'abc'"),
+        ("nodes[2]", "words", [], "nodes[2].words must be non-empty"),
+        ("edges[3]", "from_index", 1.0, "edges[3].from_index must be an integer, got 1.0"),
+        ("edges[3]", "from_index", -5, "edges[3].from_index must be >= -1, got -5"),
+        ("edges[3]", "to_index", None, "edges[3].to_index must be an integer, got None"),
+        ("edges[3]", "to_index", -1, "edges[3].to_index must be >= 0, got -1"),
+        ("edges[3]", "tes", "0.5", "edges[3].tes must be a number, got '0.5'"),
+        ("edges[3]", "tes", 1.5, "edges[3].tes must be in [0, 1], got 1.5"),
+        ("edges[4]", "tes", 0.5, "edges[4].tes of a root edge must be 1, got 0.5"),
+        ("params", "min_tes", "0.2", "params.min_tes must be a number, got '0.2'"),
+        ("params", "min_tes", -0.5, "params.min_tes must be in [0, 1], got -0.5"),
+        ("params", "min_reborn", True, "params.min_reborn must be an integer, got True"),
+        ("params", "min_reborn", -1, "params.min_reborn must be >= 0, got -1"),
+        ("params", "min_dead", 1.5, "params.min_dead must be an integer, got 1.5"),
+        ("params", "min_dead", -1, "params.min_dead must be >= 0, got -1"),
+        ("params", "threshold_mode", 1, "params.threshold_mode must be a ThresholdMode, got int"),
+        ("params", "threshold_mode", "sometimes", "params.threshold_mode must be a ThresholdMode, got str"),
+        ("nodes[2]", "weight", KeyError, "malformed TET JSON: nodes[2] has no key 'weight'"),
+        ("nodes[2]", "emerging_state", KeyError, "malformed TET JSON: nodes[2] has no key 'emerging_state'"),
+        ("edges[3]", "tes", KeyError, "malformed TET JSON: edges[3] has no key 'tes'"),
+        ("params", "min_dead", KeyError, "malformed TET JSON: params has no key 'min_dead'"),
+        ("nodes[2]", None, [1], "malformed TET JSON: nodes[2] must be an object, got list"),
+        ("edges[3]", None, None, "malformed TET JSON: edges[3] must be an object, got NoneType"),
+        ("params", None, "x", "malformed TET JSON: params must be an object, got str"),
+    ]
+
+    @pytest.mark.parametrize("record,field,value,message", RECORD_FAULTS)
+    def test_record_fault_names_its_record(self, tet_exclusive, record, field, value, message):
+        doc = json.loads(to_json(tet_exclusive))
+        name, _, position = record.partition("[")
+        holder, key = (doc[name], int(position[:-1])) if position else (doc, name)
+        if field is None:
+            holder[key] = value
+        elif value is KeyError:
+            del holder[key][field]
+        else:
+            holder[key][field] = value
+        for order in (doc, dict(reversed(doc.items()))):
+            assert read_outcome(json.dumps(order)) == (ValueError, message)
+
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             tet_from_json("not json at all {")
@@ -322,6 +374,19 @@ def _set_params_field(rng, doc):
     doc["params"][rng.choice(list(doc["params"]))] = rng.choice(JSON_VALUES)
 
 
+#: Values of a field's type outside its range, as (array, field, value).
+OUT_OF_RANGE = (("edges", "tes", 1.5), ("nodes", "weight", 2), ("nodes", "id", ""), ("edges", "from_index", -5))
+
+
+def _set_out_of_range(rng, doc):
+    """A record field set outside its range, or the tes of a root edge set to 0.5."""
+    if rng.random() < 0.2:
+        doc["edges"][0]["tes"] = 0.5  # the first edge build_tet makes is the first topic's root edge
+        return
+    array, field, value = rng.choice(OUT_OF_RANGE)
+    rng.choice(doc[array])[field] = value
+
+
 def _move_record(rng, doc):
     """A copy of a record put into the other array, where it is out of place."""
     source, target = rng.sample(("nodes", "edges"), 2)
@@ -343,7 +408,8 @@ def _add_member(rng, doc):
 #: The faults, those inside a record or ``params`` first, so that each still finds its target
 #: when a document gets two of them in this order.
 DOCUMENT_FAULTS = (
-    _drop_record_key, _set_record_field, _set_params_field, _move_record, _set_member, _drop_member, _add_member
+    _drop_record_key, _set_record_field, _set_out_of_range, _set_params_field, _move_record, _set_member, _drop_member,
+    _add_member,
 )  # fmt: skip
 
 
