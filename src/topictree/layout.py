@@ -4,7 +4,7 @@ Node position is meaning, not aesthetics: x is linear in the topic's year,
 y is linear in its weight, so the picture reads as a timeline with topic
 importance on the vertical axis. The only adjustment is a deterministic
 horizontal jitter separating topics that share both year and weight, bounded
-so a node never crosses the midpoint towards an adjacent year band.
+so a node never crosses the midpoint towards the nearest other year.
 
 All coordinates are in canvas units with the origin at the top-left (SVG
 orientation): larger weight means smaller y.
@@ -90,11 +90,14 @@ class CanvasSpec(_Value):
         return self.plot_bottom - self.plot_top
 
 
-def _x_of_year(year: int, years: tuple[int, ...], canvas: CanvasSpec) -> float:
+def _year_xs(years: tuple[int, ...], canvas: CanvasSpec) -> tuple[dict[int, float], float]:
+    """Each of the sorted distinct ``years`` with its x, and the least gap between two x (the plot width for one year)."""
     if len(years) == 1:
-        return canvas.plot_left + canvas.plot_width / 2
+        return {years[0]: canvas.plot_left + canvas.plot_width / 2}, canvas.plot_width
     span = years[-1] - years[0]
-    return canvas.plot_left + (year - years[0]) / span * canvas.plot_width
+    xs = {year: canvas.plot_left + (year - years[0]) / span * canvas.plot_width for year in years}
+    # scaled from the least gap in years, so evenly spaced years give plot_width / (len(years) - 1) exactly
+    return xs, canvas.plot_width / (span / min(b - a for a, b in zip(years, years[1:])))
 
 
 def _y_of_weight(weight: float, canvas: CanvasSpec) -> float:
@@ -105,11 +108,10 @@ def compute_positions(tet: Tet, canvas: CanvasSpec) -> dict[int, tuple[float, fl
     """Per-topic canvas coordinates; the dummy root gets none.
 
     Topics sharing both year and weight are spread horizontally around the
-    year's base x, lower index leftmost, never past the midpoint to the next
-    year band.
+    year's base x, lower index leftmost, never past the midpoint to the
+    nearest other year's x.
     """
-    years = tet.profile.distinct_years
-    band = canvas.plot_width if len(years) == 1 else canvas.plot_width / (len(years) - 1)
+    xs, band = _year_xs(tet.profile.distinct_years, canvas)
 
     # Profile order is (year, index), so each group lists its members by index.
     groups: dict[tuple[int, float], list[int]] = {}
@@ -118,12 +120,11 @@ def compute_positions(tet: Tet, canvas: CanvasSpec) -> dict[int, tuple[float, fl
 
     positions: dict[int, tuple[float, float]] = {}
     for (year, weight), members in groups.items():
-        base_x = _x_of_year(year, years, canvas)
         y = _y_of_weight(weight, canvas)
         m = len(members)
         step = _JITTER_STEP if m == 1 else min(_JITTER_STEP, 0.9 * band / (m - 1))
         for i, v in enumerate(members):
-            positions[v] = (base_x + (i - (m - 1) / 2) * step, y)
+            positions[v] = (xs[year] + (i - (m - 1) / 2) * step, y)
     return positions
 
 

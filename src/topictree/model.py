@@ -27,10 +27,12 @@ def non_xml_char(text: str) -> str | None:
     return match.group() if match else None
 
 
-def require_int(value: object, where: str) -> int:
-    """`value` if it is an integer; booleans, floats and strings are rejected, not coerced."""
+def require_int(value: object, where: str, least: int | None = None) -> int:
+    """`value` if it is an integer of at least `least`, when given; booleans, floats and strings are rejected, not coerced."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{where} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{where} must be >= {least}, got {value}")
     return value
 
 
@@ -46,6 +48,14 @@ def require_number(value: object, where: str) -> float:
         return float(value) or 0.0
     except OverflowError:
         raise ValueError(f"{where} is too large, got {value!r}") from None
+
+
+def require_unit(value: object, where: str) -> float:
+    """`value` as a float if it is a number in [0, 1], as :func:`require_number` reads it."""
+    value = require_number(value, where)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{where} must be in [0, 1], got {value}")
+    return value
 
 
 def require_str(value: object, where: str) -> str:
@@ -161,12 +171,9 @@ class TopicRecord(_Value):
         for name, text in (("id", id), ("label", label or "")):
             if (char := non_xml_char(text)) is not None:
                 raise ValueError(f"{name} holds U+{ord(char):04X}, which XML cannot carry")
-        if require_int(index, "index") < 0:
-            raise ValueError(f"index must be >= 0, got {index}")
+        require_int(index, "index", 0)
         require_int(year, "year")
-        weight = require_number(weight, "weight")
-        if not 0.0 <= weight <= 1.0:
-            raise ValueError(f"weight must be in [0, 1], got {weight}")
+        weight = require_unit(weight, "weight")
         words = require_words(words, "words")
         if not words:
             raise ValueError("words must be non-empty")
@@ -285,13 +292,9 @@ class EvolutionParams(_Value):
     def __init__(
         self, min_tes: float = 0.2, min_reborn: int = 2, min_dead: int = 1, threshold_mode: ThresholdMode = ThresholdMode.INCLUSIVE
     ) -> None:
-        min_tes = require_number(min_tes, "min_tes")
-        if not 0.0 <= min_tes <= 1.0:
-            raise ValueError(f"min_tes must be in [0, 1], got {min_tes}")
-        if require_int(min_reborn, "min_reborn") < 0:
-            raise ValueError(f"min_reborn must be >= 0, got {min_reborn}")
-        if require_int(min_dead, "min_dead") < 0:
-            raise ValueError(f"min_dead must be >= 0, got {min_dead}")
+        min_tes = require_unit(min_tes, "min_tes")
+        require_int(min_reborn, "min_reborn", 0)
+        require_int(min_dead, "min_dead", 0)
         require_type(threshold_mode, ThresholdMode, "threshold_mode")
         self._store(min_tes, min_reborn, min_dead, threshold_mode)
 
@@ -308,13 +311,9 @@ class TetEdge(_Value):
     __slots__ = ("from_index", "to_index", "tes")
 
     def __init__(self, from_index: int, to_index: int, tes: float) -> None:
-        if require_int(from_index, "from_index") < ROOT_INDEX:
-            raise ValueError(f"from_index must be >= {ROOT_INDEX}, got {from_index}")
-        if require_int(to_index, "to_index") < 0:
-            raise ValueError(f"to_index must be >= 0, got {to_index}")
-        tes = require_number(tes, "tes")
-        if not 0.0 <= tes <= 1.0:
-            raise ValueError(f"tes must be in [0, 1], got {tes}")
+        require_int(from_index, "from_index", ROOT_INDEX)
+        require_int(to_index, "to_index", 0)
+        tes = require_unit(tes, "tes")
         if from_index == ROOT_INDEX and tes != 1.0:
             raise ValueError(f"tes of a root edge must be 1, got {tes}")
         self._store(from_index, to_index, tes)

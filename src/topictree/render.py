@@ -20,7 +20,7 @@ from collections.abc import Callable, Iterator
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
-from .layout import CanvasSpec, _x_of_year, _y_of_weight, compute_positions, place_labels
+from .layout import CanvasSpec, _y_of_weight, _year_xs, compute_positions, place_labels
 from .model import (
     EmergingState,
     EvolutionParams,
@@ -151,8 +151,7 @@ def _svg_axes(years: tuple[int, ...], canvas: CanvasSpec) -> list[str]:
     out = ['<g id="axes">']
     out.append(_svg_axis_line(canvas.plot_left, canvas.plot_bottom, canvas.plot_right, canvas.plot_bottom))
     out.append(_svg_axis_line(canvas.plot_left, canvas.plot_top, canvas.plot_left, canvas.plot_bottom))
-    for year in years:
-        x = _x_of_year(year, years, canvas)
+    for year, x in _year_xs(years, canvas)[0].items():
         out.append(_svg_axis_line(x, canvas.plot_bottom, x, canvas.plot_bottom + 5))
         out.append(
             f'<text class="x-tick-label" x="{_fmt(x)}" y="{_fmt(canvas.plot_bottom + 18)}" '
@@ -396,8 +395,15 @@ def _edge(edge: dict) -> TetEdge:
 
 def _params(params: dict) -> EvolutionParams:
     *numbers, mode = params["min_tes"], params["min_reborn"], params["min_dead"], params["threshold_mode"]
-    # a mode that is none of the values is passed on as it is, for the constructor to name
-    return EvolutionParams(*numbers, next((m for m in ThresholdMode if m.value == mode), mode))
+    known = next((m for m in ThresholdMode if m.value == mode), None)
+    checked = EvolutionParams(*numbers, known or ThresholdMode.INCLUSIVE)  # so the numbers' faults come first
+    if known is None:
+        raise ValueError(f"threshold_mode must be {' or '.join(repr(m.value) for m in ThresholdMode)}, got {mode!r}")
+    return checked
+
+
+#: The JSON name of each type that ``json.loads`` makes.
+_JSON_TYPES = {type(None): "null", bool: "boolean", int: "number", float: "number", str: "string", list: "array", dict: "object"}
 
 
 def _read(convert: Callable[[dict], object], raw: object, name: str, i: int | None = None) -> object:
@@ -408,8 +414,21 @@ def _read(convert: Callable[[dict], object], raw: object, name: str, i: int | No
         path = name if i is None else f"{name}[{i}]"  # formatted only for a fault
         if isinstance(exc, ValueError):
             raise ValueError(f"{path}.{exc}") from exc
-        fault = f"has no key {exc}" if isinstance(exc, KeyError) else f"must be an object, got {type(raw).__name__}"
+        fault = f"has no key {exc}" if isinstance(exc, KeyError) else f"must be an object, got {_JSON_TYPES[type(raw)]}"
         raise ValueError(f"malformed TET JSON: {path} {fault}") from exc
+
+
+def _member(doc: object, key: str, array: bool = False) -> object:
+    """The decoded document's member ``key``, which must be a JSON array if ``array`` is set;
+    a fault in the document's shape is raised as a ``ValueError`` naming the document or the member."""
+    if type(doc) is not dict:
+        raise ValueError(f"malformed TET JSON: the document must be an object, got {_JSON_TYPES[type(doc)]}")
+    if key not in doc:
+        raise ValueError(f"malformed TET JSON: the document has no key {key!r}")
+    value = doc[key]
+    if array and type(value) is not list:
+        raise ValueError(f"malformed TET JSON: {key} must be an array, got {_JSON_TYPES[type(value)]}")
+    return value
 
 
 def tet_from_json(text: str) -> Tet:
@@ -451,24 +470,21 @@ def tet_from_json(text: str) -> Tet:
             f"malformed TET JSON: nested too deeply to parse at {_deepest_bracket(text)}"
         ) from None
     del text  # only the decodes and their errors read it, so it is freed before the tree is built
-    try:
-        params = _read(_params, doc["params"], "params")
-        nodes = [n if type(n) is tuple else _read(_topic, n, "nodes", i) for i, n in enumerate(doc["nodes"])]
-        edges = tuple(e if type(e) is TetEdge else _read(_edge, e, "edges", k) for k, e in enumerate(doc["edges"]))
-        latest_year = require_int(doc["latest_year"], "latest_year")
-        del doc  # and with it the edge list, before validation
-        tet = Tet(profile=TemporalTopicProfile(topics=tuple(topic for topic, _ in nodes)), edges=edges, params=params)
-        if latest_year != tet.profile.latest_year:
-            raise ValueError(f"latest_year {latest_year} does not match profile ({tet.profile.latest_year})")
-        for i, (topic, stored) in enumerate(nodes):
-            if _ABSENT in stored:
-                key = ("emerging_state", "evolving_state")[stored.index(_ABSENT)]
-                raise ValueError(f"malformed TET JSON: nodes[{i}] has no key {key!r}")
-            derived = tuple(state.value for state in tet.states[topic.index])
-            if stored != derived:
-                raise ValueError(
-                    f"topic {topic.index} is stored as {stored} but the tree makes it {derived}"
-                )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed TET JSON: {exc!r}") from exc
+    params = _read(_params, _member(doc, "params"), "params")
+    nodes = [n if type(n) is tuple else _read(_topic, n, "nodes", i) for i, n in enumerate(_member(doc, "nodes", True))]
+    edges = tuple(
+        e if type(e) is TetEdge else _read(_edge, e, "edges", k) for k, e in enumerate(_member(doc, "edges", True))
+    )
+    latest_year = require_int(_member(doc, "latest_year"), "latest_year")
+    del doc  # and with it the edge list, before validation
+    tet = Tet(profile=TemporalTopicProfile(topics=tuple(topic for topic, _ in nodes)), edges=edges, params=params)
+    if latest_year != tet.profile.latest_year:
+        raise ValueError(f"latest_year {latest_year} does not match profile ({tet.profile.latest_year})")
+    for i, (topic, stored) in enumerate(nodes):
+        if _ABSENT in stored:
+            key = ("emerging_state", "evolving_state")[stored.index(_ABSENT)]
+            raise ValueError(f"malformed TET JSON: nodes[{i}] has no key {key!r}")
+        derived = tuple(state.value for state in tet.states[topic.index])
+        if stored != derived:
+            raise ValueError(f"topic {topic.index} is stored as {stored} but the tree makes it {derived}")
     return tet

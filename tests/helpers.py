@@ -8,11 +8,11 @@ by cell and reads the CSV with its own whole-text reader
 `parse_tes`. The tree JSON oracle (`to_json_reference`) builds the
 document as dicts and hands it to `json.dumps`; the tree JSON reader oracle
 (`tet_from_json_whole`) decodes the whole document with `json.loads` first,
-and shares only the record step and its conversions with `tet_from_json`. The
-all-pairs label placement shares the library's offset geometry
-(`_label_box` and `_OFFSETS`) and tie-breaks; it scores `(x0, y0, x1, y1)`
-boxes with its own `intersection_area`, and leaves out the library's grid
-and interval test.
+and shares only the member and record steps and the record conversions
+with `tet_from_json`. The all-pairs label placement shares the library's
+offset geometry (`_label_box` and `_OFFSETS`) and tie-breaks; it scores
+`(x0, y0, x1, y1)` boxes with its own `intersection_area`, and leaves out
+the library's grid and interval test.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from topictree.model import (
     TopicRecord,
     require_int,
 )
-from topictree.render import _edge, _params, _read, _topic
+from topictree.render import _edge, _member, _params, _read, _topic
 
 _MIN_TES_CHOICES = (0.2, 0.3, 0.4, 0.5, 0.6)
 
@@ -332,28 +332,26 @@ def to_json_reference(tet: Tet) -> str:
 def tet_from_json_whole(text: str) -> Tet:
     """Tree JSON reader oracle: `json.loads` on the whole text, then params,
     nodes, edges, `latest_year`, the tree and the stored states, checked in
-    that order, as `tet_from_json` checks them in any member order. Records
-    and params become values through the library's record step `_read`, with
-    `_topic`, `_edge` and `_params`."""
+    that order, as `tet_from_json` checks them in any member order. Members
+    are read through the library's member step `_member`, and records and
+    params become values through its record step `_read`, with `_topic`,
+    `_edge` and `_params`."""
     doc = json.loads(text)
-    try:
-        params = _read(_params, doc["params"], "params")
-        topics = [_read(_topic, node, "nodes", i)[0] for i, node in enumerate(doc["nodes"])]
-        edges = [_read(_edge, e, "edges", k) for k, e in enumerate(doc["edges"])]
-        latest_year = require_int(doc["latest_year"], "latest_year")
-        tet = Tet(profile=TemporalTopicProfile(topics=tuple(topics)), edges=tuple(edges), params=params)
-        if latest_year != tet.profile.latest_year:
-            raise ValueError(f"latest_year {latest_year} does not match profile ({tet.profile.latest_year})")
-        for i, (node, topic) in enumerate(zip(doc["nodes"], topics)):
-            missing = [key for key in ("emerging_state", "evolving_state") if key not in node]
-            if missing:
-                raise ValueError(f"malformed TET JSON: nodes[{i}] has no key {missing[0]!r}")
-            stored = (node["emerging_state"], node["evolving_state"])
-            derived = tuple(state.value for state in tet.states[topic.index])
-            if stored != derived:
-                raise ValueError(f"topic {topic.index} is stored as {stored} but the tree makes it {derived}")
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed TET JSON: {exc!r}") from exc
+    params = _read(_params, _member(doc, "params"), "params")
+    topics = [_read(_topic, node, "nodes", i)[0] for i, node in enumerate(_member(doc, "nodes", True))]
+    edges = [_read(_edge, e, "edges", k) for k, e in enumerate(_member(doc, "edges", True))]
+    latest_year = require_int(_member(doc, "latest_year"), "latest_year")
+    tet = Tet(profile=TemporalTopicProfile(topics=tuple(topics)), edges=tuple(edges), params=params)
+    if latest_year != tet.profile.latest_year:
+        raise ValueError(f"latest_year {latest_year} does not match profile ({tet.profile.latest_year})")
+    for i, (node, topic) in enumerate(zip(doc["nodes"], topics)):
+        missing = [key for key in ("emerging_state", "evolving_state") if key not in node]
+        if missing:
+            raise ValueError(f"malformed TET JSON: nodes[{i}] has no key {missing[0]!r}")
+        stored = (node["emerging_state"], node["evolving_state"])
+        derived = tuple(state.value for state in tet.states[topic.index])
+        if stored != derived:
+            raise ValueError(f"topic {topic.index} is stored as {stored} but the tree makes it {derived}")
     return tet
 
 

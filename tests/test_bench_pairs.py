@@ -1,4 +1,4 @@
-"""The pure parts of tools/bench_pairs.py: quartiles, win counts, failure counts and the run order.
+"""The pure parts of tools/bench_pairs.py: quartiles, win counts, failure counts, bound verdicts and the run order.
 
 No git command and no perfbench run happens here.
 """
@@ -40,6 +40,40 @@ class TestSummary:
         assert bench_pairs.summary([float(v) for v in (7, 2, 9, 1, 10, 4, 3, 8, 6, 5)]) == (2.75, 5.5, 8.25)
 
 
+class TestVerdict:
+    def test_median_worse_by_more_than_the_bound_is_over_bound(self):
+        assert bench_pairs.verdict([1.0] * 4, [1.5] * 4, 0.25, True) == "over bound"
+        assert bench_pairs.verdict([1.0] * 4, [0.5] * 4, 0.25, False) == "over bound"
+
+    def test_median_worse_by_at_most_the_bound_is_within_bound(self):
+        assert bench_pairs.verdict([1.0] * 4, [1.25] * 4, 0.25, True) == "within bound"
+        assert bench_pairs.verdict([1.0] * 4, [1.5] * 4, 0.25, False) == "within bound"
+
+    def test_parent_spread_wider_than_the_bound_is_unresolved(self):
+        # parent quartiles 0.5625 and 1.4375 by the exclusive method: a spread of 0.875
+        parent = [0.5, 0.75, 1.25, 1.5]
+        assert bench_pairs.verdict(parent, [1.0] * 4, 0.75, True) == "unresolved"
+        assert bench_pairs.verdict(parent, [1.0] * 4, 0.875, True) == "within bound"
+
+    def test_every_change_run_better_resolves_a_wide_spread(self):
+        parent = [0.5, 0.75, 1.25, 1.5]
+        assert bench_pairs.verdict(parent, [0.25, 0.375, 0.4375, 0.375], 0.75, True) == "within bound"
+        assert bench_pairs.verdict(parent, [0.25, 0.375, 0.5, 0.375], 0.75, True) == "unresolved"  # a tie is not better
+        assert bench_pairs.verdict(parent, [1.75, 2.0, 1.625, 2.0], 0.75, False) == "within bound"
+
+    def test_bounds_are_the_end_to_end_metrics_of_the_benchmark(self):
+        assert bench_pairs.end_to_end_bounds() == {"wall_s": 0.25, "peak_rss_mb": 0.1, "setup_s": 0.25}
+
+    def test_report_prints_a_verdict_for_bounded_metrics_only(self, capsys):
+        pairs = [(result(0.20, 0.5), result(0.21, 0.5)), (result(0.20, 0.5), result(0.22, 0.5))]
+        bench_pairs.report(pairs, {"wall_s": 0.05})
+        out = capsys.readouterr().out
+        assert section(out, "wall_s").endswith("\n  end-to-end bound 0.05: within bound")
+        assert "bound" not in section(out, "builder.retained_ratio")
+        bench_pairs.report(pairs, {"wall_s": 0.01})
+        assert section(capsys.readouterr().out, "wall_s").endswith("\n  end-to-end bound 0.01: over bound")
+
+
 class TestReport:
     def test_wins_count_each_metric_in_its_direction(self, capsys):
         pairs = [
@@ -48,7 +82,7 @@ class TestReport:
             (result(0.20, 0.5), result(0.20, 0.5)),  # ties count for neither
             (result(0.20, 0.5), result(0.19, 0.4)),  # wins wall, loses ratio
         ]
-        bench_pairs.report(pairs)
+        bench_pairs.report(pairs, {})
         out = capsys.readouterr().out
         wall, ratio = section(out, "wall_s"), section(out, "builder.retained_ratio")
         assert wall.startswith("s, lower is better)")
@@ -63,7 +97,7 @@ class TestReport:
             (result(0.2, 0.5, failed=1, correct=False), result(0.2, 0.5, attempted=12)),
             (result(0.2, 0.5), result(0.2, 0.5, exit=1, correct=False)),
         ]
-        bench_pairs.report(pairs)
+        bench_pairs.report(pairs, {})
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "parent: 3 of 30 invocations failed; 1 of 3 runs not correct"
         assert out[1] == "change: 0 of 32 invocations failed; 2 of 3 runs not correct"

@@ -147,14 +147,18 @@ class TestPositions:
                         assert positions[t1.index][1] < positions[t2.index][1]
 
     def test_jitter_bounded_by_half_band(self):
-        members = [rec(i, 2001, 0.5) for i in range(10)] + [rec(10, 2002, 0.5)]
-        tet = flat_tet(members)
-        canvas = CanvasSpec(width=320, height=300)
-        positions = compute_positions(tet, canvas)
-        band = canvas.plot_width / 1  # two distinct years
-        base = canvas.plot_left
-        for i in range(10):
-            assert abs(positions[i][0] - base) < band / 2
+        inputs = [
+            ([rec(i, 2001, 0.5) for i in range(10)] + [rec(10, 2002, 0.5)], CanvasSpec(width=320, height=300)),
+            # uneven years: 2001 lies far closer to the crowded 2000 than the plot width over two gaps
+            ([rec(i, 2000, 0.5) for i in range(40)] + [rec(40, 2001, 0.5), rec(41, 2010, 0.5)], DEFAULT),
+        ]
+        for records, canvas in inputs:
+            positions = compute_positions(flat_tet(records), canvas)
+            years = sorted({r.year for r in records})
+            x_of = {y: canvas.plot_left + (y - years[0]) / (years[-1] - years[0]) * canvas.plot_width for y in years}
+            for r in records:
+                nearest = min(abs(x_of[r.year] - x_of[y]) for y in years if y != r.year)
+                assert abs(positions[r.index][0] - x_of[r.year]) < nearest / 2, r
 
 
 class TestTesColor:

@@ -222,6 +222,18 @@ class TestJson:
             digest.update(to_json(build_tet(*random_instance(rng, max_n=30))).encode())
         assert digest.hexdigest() == "e880dfbbd6daa0428838f6741f2f17354e9a0acef00c884bbcfc80a6f478d48a"
 
+    def test_random_trees_svg_and_dot_pinned(self):
+        # The digests pin the tet.svg and tet.dot bytes of the same trees, without and with the root.
+        rng = random.Random(14)
+        svg, dot = hashlib.sha256(), hashlib.sha256()
+        for _ in range(300):
+            tet = build_tet(*random_instance(rng, max_n=30))
+            for show_root in (False, True):
+                svg.update(to_svg(tet, show_root=show_root).encode())
+                dot.update(to_dot(tet, show_root=show_root).encode())
+        assert svg.hexdigest() == "e8515d13ad7e425229c0fbd273ee509a64ac09645f5767f74b865f858cc4efdf"
+        assert dot.hexdigest() == "e0280c30e78634a69810c3fdfdc342c349c68ec3e51a712cf51324840ce4ecaf"
+
     @pytest.mark.parametrize(
         "mutate",
         [
@@ -289,15 +301,16 @@ class TestJson:
         ("params", "min_reborn", -1, "params.min_reborn must be >= 0, got -1"),
         ("params", "min_dead", 1.5, "params.min_dead must be an integer, got 1.5"),
         ("params", "min_dead", -1, "params.min_dead must be >= 0, got -1"),
-        ("params", "threshold_mode", 1, "params.threshold_mode must be a ThresholdMode, got int"),
-        ("params", "threshold_mode", "sometimes", "params.threshold_mode must be a ThresholdMode, got str"),
+        ("params", "threshold_mode", 1, "params.threshold_mode must be 'inclusive' or 'exclusive', got 1"),
+        ("params", "threshold_mode", "sometimes", "params.threshold_mode must be 'inclusive' or 'exclusive', got 'sometimes'"),
+        ("params", "threshold_mode", ["inclusive"], "params.threshold_mode must be 'inclusive' or 'exclusive', got ['inclusive']"),
         ("nodes[2]", "weight", KeyError, "malformed TET JSON: nodes[2] has no key 'weight'"),
         ("nodes[2]", "emerging_state", KeyError, "malformed TET JSON: nodes[2] has no key 'emerging_state'"),
         ("edges[3]", "tes", KeyError, "malformed TET JSON: edges[3] has no key 'tes'"),
         ("params", "min_dead", KeyError, "malformed TET JSON: params has no key 'min_dead'"),
-        ("nodes[2]", None, [1], "malformed TET JSON: nodes[2] must be an object, got list"),
-        ("edges[3]", None, None, "malformed TET JSON: edges[3] must be an object, got NoneType"),
-        ("params", None, "x", "malformed TET JSON: params must be an object, got str"),
+        ("nodes[2]", None, [1], "malformed TET JSON: nodes[2] must be an object, got array"),
+        ("edges[3]", None, None, "malformed TET JSON: edges[3] must be an object, got null"),
+        ("params", None, "x", "malformed TET JSON: params must be an object, got string"),
     ]
 
     @pytest.mark.parametrize("record,field,value,message", RECORD_FAULTS)
@@ -353,6 +366,12 @@ JSON_VALUES = (
     None, True, False, 0, -3, 2.5, "x", "", [], [1], {}, {"k": 1},
     {"from_index": 0, "to_index": 1, "tes": 0.5},
     {"id": "t0", "index": 0, "label": None, "year": 2000, "weight": 0.5, "words": ["w"]},
+)  # fmt: skip
+
+#: The JSON type of each entry of JSON_VALUES, as the reader names it.
+JSON_TYPES = (
+    "null", "boolean", "boolean", "number", "number", "number", "string", "string", "array", "array", "object", "object",
+    "object", "object",
 )  # fmt: skip
 
 
@@ -411,6 +430,27 @@ DOCUMENT_FAULTS = (
     _drop_record_key, _set_record_field, _set_out_of_range, _set_params_field, _move_record, _set_member, _drop_member,
     _add_member,
 )  # fmt: skip
+
+
+#: (member, value, message): the whole document (member None) or one member replaced by
+#: ``value``, or the member deleted (``value`` KeyError), and the exact message of the read.
+MEMBER_FAULTS = [
+    *(
+        (None, value, f"malformed TET JSON: the document must be an object, got {name}")
+        for value, name in zip(JSON_VALUES, JSON_TYPES)
+        if name != "object"
+    ),
+    *(
+        (member, KeyError, f"malformed TET JSON: the document has no key {member!r}")
+        for member in ("params", "nodes", "edges", "latest_year")
+    ),
+    *(
+        (member, value, f"malformed TET JSON: {member} must be an array, got {name}")
+        for member in ("nodes", "edges")
+        for value, name in zip(JSON_VALUES, JSON_TYPES)
+        if name != "array"
+    ),
+]
 
 
 class TestRecordReader:
@@ -507,6 +547,27 @@ class TestRecordReader:
                 for order in (members, members[::-1]):
                     text = json.dumps(dict(order))
                     assert read_outcome(text) == read_outcome(text, tet_from_json_whole), text
+
+    @pytest.mark.parametrize("member,value,message", MEMBER_FAULTS)
+    def test_member_fault_names_the_document_or_its_member(self, tet_exclusive, member, value, message):
+        doc = json.loads(to_json(tet_exclusive))
+        if member is None:
+            orders = [value]
+        else:
+            if value is KeyError:
+                del doc[member]
+            else:
+                doc[member] = value
+            orders = [doc, dict(reversed(doc.items()))]
+        for order in orders:
+            text = json.dumps(order)
+            assert read_outcome(text) == (ValueError, message)
+            assert read_outcome(text, tet_from_json_whole) == (ValueError, message)
+
+    def test_params_numbers_are_checked_before_the_mode(self, tet_exclusive):
+        doc = json.loads(to_json(tet_exclusive))
+        doc["params"].update(min_dead=-1, threshold_mode="sometimes")
+        assert read_outcome(json.dumps(doc)) == (ValueError, "params.min_dead must be >= 0, got -1")
 
     #: One fault in each stage of the read, in the order the stages run, with
     #: the stage's name.

@@ -13,8 +13,9 @@ parent first on even k and the change first on odd k, and reads the JSON line
 that run.py prints last. Every run uses run.py's own default length. For each
 workload and every metric it prints each pair, each side's median and
 quartiles, and in how many pairs the change was better (lower, except for
-the metrics in HIGHER_IS_BETTER). Nothing under perfbench/ is written except
-what run.py writes in the copies.
+the metrics in HIGHER_IS_BETTER). For each end-to-end metric it also prints
+a verdict against the metric's bound in BENCHMARK.json (see `verdict`).
+Nothing under perfbench/ is written except what run.py writes in the copies.
 """
 
 from __future__ import annotations
@@ -48,6 +49,12 @@ def benchmark_workloads() -> list[str]:
     return [workload["name"] for workload in declared["workloads"]]
 
 
+def end_to_end_bounds() -> dict[str, float]:
+    """Each end-to-end metric BENCHMARK.json declares, with its bound."""
+    declared = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {metric["name"]: metric["bound"] for metric in declared["end_to_end"]}
+
+
 def run_once(copy: Path, workload: str, seed: int) -> dict:
     """One `perfbench/run.py --workload` run in `copy`: its JSON line, plus its exit code."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
@@ -69,6 +76,18 @@ def summary(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(old: list[float], new: list[float], bound: float, lower: bool) -> str:
+    """"over bound" when the change's median is worse than the parent's by more than `bound`;
+    "unresolved" when, short of that, the parent's quartile spread is wider than `bound` and
+    not every change run reads better than every parent run; else "within bound"."""
+    (o1, om, o3), (_, nm, _) = summary(old), summary(new)
+    if (nm - om if lower else om - nm) > bound:
+        return "over bound"
+    if o3 - o1 > bound and not (max(new) < min(old) if lower else min(new) > max(old)):
+        return "unresolved"
+    return "within bound"
+
+
 def collect(old: Path, new: Path, workloads: list[str], seed: int, count: int, run) -> dict[str, list[tuple[dict, dict]]]:
     """`count` pairs of (parent, change) results per workload from `run(copy, workload, seed)`;
     pair k runs every workload, each in both copies."""
@@ -82,7 +101,8 @@ def collect(old: Path, new: Path, workloads: list[str], seed: int, count: int, r
     return pairs
 
 
-def report(pairs: list[tuple[dict, dict]]) -> None:
+def report(pairs: list[tuple[dict, dict]], bounds: dict[str, float]) -> None:
+    """Print the run counts, then each metric's pairs and summary; `bounds` maps each end-to-end metric to its bound."""
     for side, k in (("parent", 0), ("change", 1)):
         attempted = sum(p[k]["attempted"] for p in pairs)
         failed = sum(p[k]["failed"] for p in pairs)
@@ -102,6 +122,8 @@ def report(pairs: list[tuple[dict, dict]]) -> None:
         print(f"  parent median {om:.6g} (quartiles {o1:.6g}-{o3:.6g})")
         print(f"  change median {nm:.6g} (quartiles {n1:.6g}-{n3:.6g})")
         print(f"  change better in {wins} of {len(pairs)} pairs")
+        if name in bounds:
+            print(f"  end-to-end bound {bounds[name]:g}: {verdict(old, new, bounds[name], lower)}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -123,9 +145,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"parent {extract(args.parent, old)}\nchange {extract(args.change, new)}")
         print(f"workloads {', '.join(workloads)}, seed {args.seed}, {args.pairs} pairs", flush=True)
         pairs = collect(old, new, workloads, args.seed, args.pairs, run_once)
+    bounds = end_to_end_bounds()
     for workload, results in pairs.items():
         print(f"\n=== workload {workload} ===")
-        report(results)
+        report(results, bounds)
     runs = [p[k] for results in pairs.values() for p in results for k in (0, 1)]
     return 0 if all(run["exit"] == 0 and run["correct"] for run in runs) else 1
 
