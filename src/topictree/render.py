@@ -471,9 +471,9 @@ def tet_from_json(text: str) -> Tet:
         ) from None
     del text  # only the decodes and their errors read it, so it is freed before the tree is built
     params = _read(_params, _member(doc, "params"), "params")
-    nodes = [n if type(n) is tuple else _read(_topic, n, "nodes", i) for i, n in enumerate(_member(doc, "nodes", True))]
+    nodes = [n if type(n) is tuple else _read(_topic, n, "nodes", i) for i, n in enumerate(_member(doc, "nodes", array=True))]
     edges = tuple(
-        e if type(e) is TetEdge else _read(_edge, e, "edges", k) for k, e in enumerate(_member(doc, "edges", True))
+        e if type(e) is TetEdge else _read(_edge, e, "edges", k) for k, e in enumerate(_member(doc, "edges", array=True))
     )
     latest_year = require_int(_member(doc, "latest_year"), "latest_year")
     del doc  # and with it the edge list, before validation

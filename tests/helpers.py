@@ -338,8 +338,8 @@ def tet_from_json_whole(text: str) -> Tet:
     `_edge` and `_params`."""
     doc = json.loads(text)
     params = _read(_params, _member(doc, "params"), "params")
-    topics = [_read(_topic, node, "nodes", i)[0] for i, node in enumerate(_member(doc, "nodes", True))]
-    edges = [_read(_edge, e, "edges", k) for k, e in enumerate(_member(doc, "edges", True))]
+    topics = [_read(_topic, node, "nodes", i)[0] for i, node in enumerate(_member(doc, "nodes", array=True))]
+    edges = [_read(_edge, e, "edges", k) for k, e in enumerate(_member(doc, "edges", array=True))]
     latest_year = require_int(_member(doc, "latest_year"), "latest_year")
     tet = Tet(profile=TemporalTopicProfile(topics=tuple(topics)), edges=tuple(edges), params=params)
     if latest_year != tet.profile.latest_year:

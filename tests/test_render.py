@@ -276,7 +276,8 @@ class TestJson:
 
     #: (record, field, value, message): every field of a node (nodes[2]), a non-root edge (edges[3]),
     #: a root edge (edges[4]) and params, given a wrong type and, where the field has a range, a value
-    #: of its type outside it; then a missing key and a record that is not an object, for each record.
+    #: of its type outside it; then a missing key and a record that is not an object, for each record;
+    #: last, a mode that cannot be hashed, after the others so that their ids keep their numbers.
     RECORD_FAULTS = [
         ("nodes[2]", "id", 7, "nodes[2].id must be a string, got 7"),
         ("nodes[2]", "id", "", "nodes[2].id must be non-empty"),
@@ -303,7 +304,6 @@ class TestJson:
         ("params", "min_dead", -1, "params.min_dead must be >= 0, got -1"),
         ("params", "threshold_mode", 1, "params.threshold_mode must be 'inclusive' or 'exclusive', got 1"),
         ("params", "threshold_mode", "sometimes", "params.threshold_mode must be 'inclusive' or 'exclusive', got 'sometimes'"),
-        ("params", "threshold_mode", ["inclusive"], "params.threshold_mode must be 'inclusive' or 'exclusive', got ['inclusive']"),
         ("nodes[2]", "weight", KeyError, "malformed TET JSON: nodes[2] has no key 'weight'"),
         ("nodes[2]", "emerging_state", KeyError, "malformed TET JSON: nodes[2] has no key 'emerging_state'"),
         ("edges[3]", "tes", KeyError, "malformed TET JSON: edges[3] has no key 'tes'"),
@@ -311,6 +311,7 @@ class TestJson:
         ("nodes[2]", None, [1], "malformed TET JSON: nodes[2] must be an object, got array"),
         ("edges[3]", None, None, "malformed TET JSON: edges[3] must be an object, got null"),
         ("params", None, "x", "malformed TET JSON: params must be an object, got string"),
+        ("params", "threshold_mode", ["inclusive"], "params.threshold_mode must be 'inclusive' or 'exclusive', got ['inclusive']"),
     ]
 
     @pytest.mark.parametrize("record,field,value,message", RECORD_FAULTS)
